@@ -44,9 +44,41 @@ run_ctest() {
   fi
 }
 
+# Fails when git tracks build output: an ELF binary or a CMake-generated
+# file (the tree once carried a whole committed in-source build).
+check_no_tracked_build_output() {
+  if ! git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "not a git checkout; skipping the tracked-build-output check"
+    return 0
+  fi
+  local bad=() f
+  while IFS= read -r -d '' f; do
+    case "/$f" in
+      */CMakeCache.txt | */CMakeFiles/* | */Makefile | \
+      */cmake_install.cmake | */CTestTestfile.cmake | /Testing/*)
+        bad+=("$f")
+        continue
+        ;;
+    esac
+    if [[ -f "$f" && "$(head -c 4 "$f" | od -An -tx1 | tr -d ' \n')" == \
+        7f454c46 ]]; then
+      bad+=("$f")
+    fi
+  done < <(git ls-files -z)
+  if ((${#bad[@]} > 0)); then
+    echo "git tracks ${#bad[@]} build output file(s), e.g.:"
+    printf '  %s\n' "${bad[@]:0:10}"
+    return 1
+  fi
+}
+
 # --- stage: tier1 ----------------------------------------------------
 
 stage_tier1() {
+  echo "=== tier 1: no build output under version control ==="
+  check_no_tracked_build_output
+
+  echo
   echo "=== tier 1: build + tests ==="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$(nproc)"
@@ -62,9 +94,9 @@ stage_tier1() {
   cmake -B build-scalar -S . -DALPHASORT_FORCE_SCALAR=ON >/dev/null
   cmake --build build-scalar -j "$(nproc)" --target \
     simd_test radix_partition_test quicksort_test partition_sort_test \
-    merge_partition_test alphasort_test
+    merge_partition_test alphasort_test pipeline_matrix_test
   run_ctest build-scalar -R \
-    '^(simd_test|radix_partition_test|quicksort_test|partition_sort_test|merge_partition_test|alphasort_test)$'
+    '^(simd_test|radix_partition_test|quicksort_test|partition_sort_test|merge_partition_test|alphasort_test|pipeline_matrix_test)$'
 }
 
 # --- stage: sanitizers ----------------------------------------------

@@ -18,25 +18,15 @@ namespace {
 
 // Summarizes one direction of a MetricsEnv snapshot into the plain
 // percentile struct SortMetrics carries.
-IoLatencyStats SummarizeReads(const obs::IoModeSnapshot& io) {
+IoLatencyStats Summarize(uint64_t ops, uint64_t bytes,
+                         const obs::HistogramSnapshot& latency_us) {
   IoLatencyStats out;
-  out.ops = io.reads;
-  out.bytes = io.read_bytes;
-  out.p50_us = io.read_latency_us.Percentile(50);
-  out.p95_us = io.read_latency_us.Percentile(95);
-  out.p99_us = io.read_latency_us.Percentile(99);
-  out.max_us = double(io.read_latency_us.max);
-  return out;
-}
-
-IoLatencyStats SummarizeWrites(const obs::IoModeSnapshot& io) {
-  IoLatencyStats out;
-  out.ops = io.writes;
-  out.bytes = io.write_bytes;
-  out.p50_us = io.write_latency_us.Percentile(50);
-  out.p95_us = io.write_latency_us.Percentile(95);
-  out.p99_us = io.write_latency_us.Percentile(99);
-  out.max_us = double(io.write_latency_us.max);
+  out.ops = ops;
+  out.bytes = bytes;
+  out.p50_us = latency_us.Percentile(50);
+  out.p95_us = latency_us.Percentile(95);
+  out.p99_us = latency_us.Percentile(99);
+  out.max_us = double(latency_us.max);
   return out;
 }
 
@@ -99,12 +89,25 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   if (options.collect_io_metrics) stack.PushMetrics();
   if (options.retry_policy.enabled()) stack.PushRetry(options.retry_policy);
   env = stack.top();
-  auto fill_retry_metrics = [&stack, metrics] {
-    if (stack.retry() == nullptr) return;
-    const RetryStats rs = stack.retry()->stats();
-    metrics->io_retries = rs.retries;
-    metrics->io_retries_recovered = rs.ops_recovered;
-    metrics->io_retries_exhausted = rs.ops_exhausted;
+  // Every exit from here on reports the retry counters, the IO-latency
+  // summaries and the observability brackets, success or not.
+  auto finish = [&](Status status) {
+    metrics->total_s = total_timer.Lap();
+    if (stack.retry() != nullptr) {
+      const RetryStats rs = stack.retry()->stats();
+      metrics->io_retries = rs.retries;
+      metrics->io_retries_recovered = rs.ops_recovered;
+      metrics->io_retries_exhausted = rs.ops_exhausted;
+    }
+    if (stack.metrics() != nullptr) {
+      const obs::IoModeSnapshot io = stack.metrics()->Snapshot().Total();
+      metrics->read_io = Summarize(io.reads, io.read_bytes,
+                                   io.read_latency_us);
+      metrics->write_io = Summarize(io.writes, io.write_bytes,
+                                    io.write_latency_us);
+    }
+    finish_observability();
+    return status;
   };
 
   // Build and open the input source, and create the output, members in
@@ -117,18 +120,19 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   if (options.source) {
     source = options.source();
     if (source == nullptr) {
-      return Status::InvalidArgument("source factory returned nullptr");
+      return finish(
+          Status::InvalidArgument("source factory returned nullptr"));
     }
   } else {
     source = std::make_shared<FileRecordSource>(
         options.input_path, options.io_chunk_bytes, options.io_depth);
   }
-  ALPHASORT_RETURN_IF_ERROR(source->Open(env, aio));
+  if (Status s = source->Open(env, aio); !s.ok()) return finish(s);
   Result<std::unique_ptr<StripeFile>> output = StripeFile::Open(
       env, options.output_path, OpenMode::kCreateReadWrite, aio);
   if (!output.ok()) {
     source->Close();
-    return output.status();
+    return finish(output.status());
   }
 
   core_internal::SortContext ctx;
@@ -153,10 +157,10 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
     if (total % options.format.record_size != 0) {
       source->Close();
       output.value()->Close();
-      return Status::InvalidArgument(StrFormat(
+      return finish(Status::InvalidArgument(StrFormat(
           "input size %llu is not a multiple of the record size %zu",
           static_cast<unsigned long long>(total),
-          options.format.record_size));
+          options.format.record_size)));
     }
     ctx.input_bytes = total;
     ctx.num_records = total / options.format.record_size;
@@ -168,23 +172,30 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   startup_span.reset();
 
   // One pass if the records plus their entries fit in the budget (§6:
-  // "the Datamation sort benchmark should be done in one pass"). Sources
-  // with unknown totals (live streams) defer the decision: RunAdaptive
-  // starts optimistic and spills only if the budget overflows, setting
-  // the real plan at end of input.
-  bool one_pass = false;
+  // "the Datamation sort benchmark should be done in one pass"). The plan
+  // only sizes the first ingest block: the whole input for one pass, a
+  // spill block for two. Sources with unknown totals (live streams) start
+  // optimistic with the full budget and spill only if the stream outgrows
+  // it; RunPasses sets the real plan at end of input.
   if (ctx.size_known) {
     const uint64_t entry_bytes =
         ctx.num_records * SortOptions::kEntryOverheadBytes;
     const bool fits = ctx.input_bytes + entry_bytes <= options.memory_budget;
-    one_pass =
+    const bool one_pass =
         options.force_passes == 1 || (options.force_passes == 0 && fits);
     metrics->passes = one_pass ? 1 : 2;
+    ctx.first_block_records =
+        one_pass ? ctx.num_records
+                 : std::min(ctx.num_records, SpillBlockRecords(options));
     if (progress != nullptr) {
       progress->SetPlan(ctx.input_bytes, metrics->passes);
     }
-  } else if (progress != nullptr) {
-    progress->SetPlanUnknown(/*passes_hint=*/1);
+  } else {
+    ctx.first_block_records = std::max<uint64_t>(
+        options.run_size_records,
+        options.memory_budget /
+            (options.format.record_size + SortOptions::kEntryOverheadBytes));
+    if (progress != nullptr) progress->SetPlanUnknown(/*passes_hint=*/1);
   }
   ALPHASORT_LOG(kDebug, "sort.plan")
       .Str("source", source->name())
@@ -192,47 +203,26 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
       .U64("records", ctx.num_records)
       .I64("passes", metrics->passes);
 
-  Status sort_status = CheckControl(&ctx);
-  if (sort_status.ok()) {
-    if (body) {
-      sort_status = body(&ctx);
-    } else if (!ctx.size_known) {
-      sort_status = core_internal::RunAdaptive(&ctx);
-    } else {
-      sort_status = one_pass ? core_internal::RunOnePass(&ctx)
-                             : core_internal::RunTwoPass(&ctx);
-    }
-  }
-  // Custom bodies and the adaptive path discover (or refine) the input
+  Status status = CheckControl(&ctx);
+  if (status.ok()) status = body ? body(&ctx) : RunPasses(&ctx);
+  // Custom bodies and streamed inputs discover (or refine) the input
   // shape themselves; re-read it from the context either way.
   metrics->bytes_in = ctx.input_bytes;
   metrics->num_records = ctx.num_records;
-  if (!sort_status.ok()) {
-    source->Close();
-    output.value()->Close();
-    fill_retry_metrics();
-    finish_observability();
-    return sort_status;
-  }
 
+  // Close both ends whatever happened; the first error wins.
   phase.Lap();
-  ProgressPhase(&ctx, obs::SortPhase::kClose);
+  if (status.ok()) ProgressPhase(&ctx, obs::SortPhase::kClose);
   {
     obs::TraceSpan close_span("sort.close");
-    ALPHASORT_RETURN_IF_ERROR(source->Close());
-    ALPHASORT_RETURN_IF_ERROR(output.value()->Close());
+    Status source_closed = source->Close();
+    Status output_closed = output.value()->Close();
+    if (status.ok()) status = source_closed;
+    if (status.ok()) status = output_closed;
   }
   metrics->close_s = phase.Lap();
-  metrics->bytes_out = ctx.input_bytes;
-  metrics->total_s = total_timer.Lap();
-  fill_retry_metrics();
-  if (stack.metrics() != nullptr) {
-    const obs::IoModeSnapshot io = stack.metrics()->Snapshot().Total();
-    metrics->read_io = SummarizeReads(io);
-    metrics->write_io = SummarizeWrites(io);
-  }
-  finish_observability();
-  return Status::OK();
+  if (status.ok()) metrics->bytes_out = ctx.input_bytes;
+  return finish(status);
 }
 
 }  // namespace core_internal

@@ -1,17 +1,15 @@
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/checksum.h"
 #include "common/table.h"
 #include "core/pipeline_internal.h"
 #include "core/run_reader.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
-#include "sort/merger.h"
 #include "sort/quicksort.h"
-#include "sort/radix_partition.h"
 #include "sort/tournament_tree.h"
 
 namespace alphasort {
@@ -68,154 +66,12 @@ void ScratchSweeper::Sweep() {
 
 namespace {
 
-// Writes one QuickSorted chunk as a run file: merge the chunk's sub-runs,
-// gather into double-buffered output blocks, stream them out. `*crc_out`
-// receives the CRC-32C of the written byte stream (accumulated in submit
-// order, which is file order).
-Status WriteRunFile(SortContext* ctx, RunMerger<>& merger, File* out,
-                    uint64_t* bytes_written, uint32_t* crc_out) {
-  const RecordFormat& fmt = ctx->options->format;
-  const size_t batch_records =
-      std::max<size_t>(1, ctx->options->io_chunk_bytes / fmt.record_size);
-
-  struct OutBuffer {
-    std::vector<char> data;
-    AsyncIO::Handle pending = 0;
-    bool in_flight = false;
-  };
-  std::vector<OutBuffer> bufs(2);
-  for (auto& b : bufs) b.data.resize(batch_records * fmt.record_size);
-  std::vector<const char*> ptrs(batch_records);
-
-  auto abandon = [&bufs, ctx](Status why) {
-    for (auto& b : bufs) {
-      if (b.in_flight) {
-        ctx->aio->Wait(b.pending);
-        b.in_flight = false;
-      }
-    }
-    return why;
-  };
-
-  uint64_t offset = 0;
-  uint32_t crc = 0;
-  size_t which = 0;
-  while (!merger.Done()) {
-    // Cancellation/deadline poll, once per run-file output batch.
-    if (Status ctl = CheckControl(ctx); !ctl.ok()) return abandon(ctl);
-    OutBuffer& buf = bufs[which];
-    if (buf.in_flight) {
-      buf.in_flight = false;
-      Status s = ctx->aio->Wait(buf.pending);
-      if (!s.ok()) return abandon(s);
-    }
-    const size_t got = merger.NextBatch(ptrs.data(), batch_records);
-    ParallelGather(ctx, ptrs.data(), got, buf.data.data());
-    crc = Crc32c(buf.data.data(), got * fmt.record_size, crc);
-    buf.pending = ctx->aio->SubmitWrite(out, offset, buf.data.data(),
-                                        got * fmt.record_size);
-    buf.in_flight = true;
-    offset += got * fmt.record_size;
-    which ^= 1;
-  }
-  for (auto& b : bufs) {
-    if (b.in_flight) {
-      b.in_flight = false;
-      Status s = ctx->aio->Wait(b.pending);
-      if (!s.ok()) return abandon(s);
-    }
-  }
-  *bytes_written = offset;
-  *crc_out = crc;
-  return Status::OK();
-}
-
-// Pass 1: stream the input in memory-budget chunks; QuickSort each chunk
-// (sub-runs in parallel across workers) and spill it as one sorted run.
-Status SpillRuns(SortContext* ctx, std::vector<ScratchRun>* runs) {
-  const SortOptions& opts = *ctx->options;
-  const RecordFormat& fmt = opts.format;
-  const uint64_t per_record =
-      fmt.record_size + SortOptions::kEntryOverheadBytes;
-  const uint64_t chunk_records = std::max<uint64_t>(
-      opts.run_size_records, opts.memory_budget / (2 * per_record));
-
-  std::vector<char> block(chunk_records * fmt.record_size);
-  std::vector<PrefixEntry> entries(chunk_records);
-
-  uint64_t record_pos = 0;
-  size_t run_index = 0;
-  while (record_pos < ctx->num_records) {
-    // Cancellation/deadline poll, once per spilled run (no IO is in
-    // flight between runs; the sweeper removes already-spilled runs).
-    ALPHASORT_RETURN_IF_ERROR(CheckControl(ctx));
-    const uint64_t n =
-        std::min<uint64_t>(chunk_records, ctx->num_records - record_pos);
-    const size_t byte_len = static_cast<size_t>(n * fmt.record_size);
-
-    size_t got = 0;
-    ALPHASORT_RETURN_IF_ERROR(ctx->source->Read(block.data(), byte_len, &got));
-    if (got != byte_len) {
-      return Status::Corruption("short read of input chunk");
-    }
-    ProgressRead(ctx, got);
-
-    // QuickSort the chunk as parallel sub-runs, like the one-pass read
-    // phase; the run file is produced by merging them.
-    const uint64_t sub = opts.run_size_records;
-    const size_t num_sub = static_cast<size_t>((n + sub - 1) / sub);
-    ctx->pool->ParallelFor(num_sub, [&](size_t s) {
-      obs::ScopedJobId job_scope(ctx->job_id);
-      obs::ScopedTraceId trace_scope(ctx->trace_id);
-      const uint64_t start = s * sub;
-      const uint64_t len = std::min<uint64_t>(sub, n - start);
-      obs::TraceSpan span("quicksort.run", "cpu");
-      obs::ScopedPerfRegion perf("quicksort");
-      SortStats stats;
-      BuildPrefixEntryArray(fmt, block.data() + start * fmt.record_size,
-                            len, entries.data() + start,
-                            opts.prefetch_distance);
-      SortPrefixEntryArrayWithKernel(fmt, entries.data() + start, len,
-                                     opts.sort_kernel, &stats);
-      ProgressSorted(ctx, len * fmt.record_size);
-    });
-
-    std::vector<EntryRun> sub_runs;
-    for (uint64_t start = 0; start < n; start += sub) {
-      const uint64_t len = std::min<uint64_t>(sub, n - start);
-      sub_runs.push_back(
-          EntryRun{entries.data() + start, entries.data() + start + len});
-    }
-    RunMerger<> merger(fmt, std::move(sub_runs), TreeLayout::kFlat, nullptr,
-                       nullptr, opts.merge_prefetch);
-
-    const std::string path = ScratchRunPath(opts, 0, run_index);
-    Result<std::unique_ptr<File>> run_file =
-        OpenScratchRun(ctx, path, OpenMode::kCreateReadWrite);
-    ALPHASORT_RETURN_IF_ERROR(run_file.status());
-    uint64_t written = 0;
-    uint32_t crc = 0;
-    Status s = WriteRunFile(ctx, merger, run_file.value().get(), &written,
-                            &crc);
-    Status close_status = run_file.value()->Close();
-    ALPHASORT_RETURN_IF_ERROR(s);
-    ALPHASORT_RETURN_IF_ERROR(close_status);
-
-    runs->push_back(ScratchRun{path, written, crc, /*has_crc=*/true});
-    ctx->metrics->scratch_bytes_written += written;
-    ProgressSpilled(ctx, written);
-    record_pos += n;
-    ++run_index;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status MergeScratchRunsToFile(SortContext* ctx,
-                              const std::vector<ScratchRun>& runs,
-                              File* out, uint64_t* bytes_out,
-                              uint32_t* crc_out) {
+// Streams `runs` through a tournament of RunReaders into `out`, verifying
+// each run's CRC-32C as it drains. On return the ring is finished, or
+// aborted on error.
+Status MergeScratchRunsToWriter(SortContext* ctx,
+                                const std::vector<ScratchRun>& runs,
+                                BufferedWriter* out) {
   const SortOptions& opts = *ctx->options;
   const RecordFormat& fmt = opts.format;
   const size_t k = runs.size();
@@ -266,57 +122,33 @@ Status MergeScratchRunsToFile(SortContext* ctx,
   }
   tree.Rebuild();
 
-  // Gather winners into double-buffered output blocks. Records are copied
+  // Copy winners straight into the ring's buffers. Records are copied
   // immediately (their reader buffer may recycle on the next refill), so
   // the gather is serial on the root here — the merge pass is disk-bound
   // anyway (§6: a second pass "uses twice the disk bandwidth").
-  struct OutBuffer {
-    std::vector<char> data;
-    size_t fill = 0;
-    AsyncIO::Handle pending = 0;
-    bool in_flight = false;
-  };
-  const size_t out_bytes =
-      std::max<size_t>(fmt.record_size,
-                       opts.io_chunk_bytes / fmt.record_size *
-                           fmt.record_size);
-  std::vector<OutBuffer> bufs(2);
-  for (auto& b : bufs) b.data.resize(out_bytes);
-
-  auto abandon = [&bufs, ctx](Status why) {
-    for (auto& b : bufs) {
-      if (b.in_flight) {
-        ctx->aio->Wait(b.pending);
-        b.in_flight = false;
-      }
-    }
+  auto abandon = [out](Status why) {
+    out->Abort();
     return why;
   };
-
-  uint64_t out_offset = 0;
-  uint32_t out_crc = 0;
-  size_t which = 0;
   while (!tree.Empty()) {
     // Cancellation/deadline poll, once per merge output batch.
     if (Status ctl = CheckControl(ctx); !ctl.ok()) return abandon(ctl);
-    OutBuffer& buf = bufs[which];
-    if (buf.in_flight) {
+    char* buf = nullptr;
+    size_t room = 0;
+    {
       // Output seal step, kept out of the "merge" region so that region
       // stays a pure tournament measurement (docs/perf.md).
       obs::ScopedPerfRegion perf("merge.seal");
-      buf.in_flight = false;
-      Status s = ctx->aio->Wait(buf.pending);
-      if (!s.ok()) return abandon(s);
+      if (Status s = out->Acquire(&buf, &room); !s.ok()) return abandon(s);
     }
-    buf.fill = 0;
+    size_t fill = 0;
     {
       obs::TraceSpan span("merge.batch", "cpu");
       obs::ScopedPerfRegion perf("merge");
-      while (buf.fill < out_bytes && !tree.Empty()) {
+      while (fill < room && !tree.Empty()) {
         const size_t r = tree.WinnerStream();
-        memcpy(buf.data.data() + buf.fill, tree.WinnerItem().record,
-               fmt.record_size);
-        buf.fill += fmt.record_size;
+        memcpy(buf + fill, tree.WinnerItem().record, fmt.record_size);
+        fill += fmt.record_size;
         Status s = readers[r]->Advance();
         if (!s.ok()) return abandon(s);
         if (const char* rec = readers[r]->Current()) {
@@ -329,31 +161,19 @@ Status MergeScratchRunsToFile(SortContext* ctx,
     {
       obs::TraceSpan span("merge.seal", "io");
       obs::ScopedPerfRegion perf("merge.seal");
-      out_crc = Crc32c(buf.data.data(), buf.fill, out_crc);
-      buf.pending = ctx->aio->SubmitWrite(out, out_offset, buf.data.data(),
-                                          buf.fill);
+      out->Seal(fill);
     }
-    buf.in_flight = true;
-    out_offset += buf.fill;
     // Cascade levels also land here, so merged bytes can exceed the plan
     // on deep cascades; the tracker clamps the fraction below 1.0.
-    ProgressMerged(ctx, buf.fill);
-    which ^= 1;
+    ProgressMerged(ctx, fill);
   }
-  for (auto& b : bufs) {
-    if (b.in_flight) {
-      b.in_flight = false;
-      Status s = ctx->aio->Wait(b.pending);
-      if (!s.ok()) return abandon(s);
-    }
-  }
+  ALPHASORT_RETURN_IF_ERROR(out->Finish());
   // Every reader has drained its whole file; compare the CRC of what the
   // merge actually consumed against what the spill pass wrote. A mismatch
   // means the scratch bytes changed between write and read — surface it
   // as corruption, never as silently wrong output.
   if (opts.verify_run_checksums) {
     for (size_t r = 0; r < k; ++r) {
-      if (!runs[r].has_crc) continue;
       if (readers[r]->crc32c() != runs[r].crc32c) {
         return Status::Corruption(StrFormat(
             "scratch run %s corrupted: crc32c %08x on read, %08x on write",
@@ -362,8 +182,27 @@ Status MergeScratchRunsToFile(SortContext* ctx,
       ++ctx->metrics->runs_checksum_verified;
     }
   }
-  *bytes_out = out_offset;
-  if (crc_out != nullptr) *crc_out = out_crc;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status WriteScratchRun(SortContext* ctx, int level,
+                       const std::function<Status(BufferedWriter*)>& fill,
+                       std::vector<ScratchRun>* runs) {
+  const SortOptions& opts = *ctx->options;
+  const std::string path = ScratchRunPath(opts, level, runs->size());
+  Result<std::unique_ptr<File>> file =
+      OpenScratchRun(ctx, path, OpenMode::kCreateReadWrite);
+  ALPHASORT_RETURN_IF_ERROR(file.status());
+  BufferedWriter ring(file.value().get(), ctx->aio, MergeBatchBytes(opts),
+                      opts.write_buffers);
+  Status s = fill(&ring);
+  Status close_status = file.value()->Close();
+  ALPHASORT_RETURN_IF_ERROR(s);
+  ALPHASORT_RETURN_IF_ERROR(close_status);
+  runs->push_back(ScratchRun{path, ring.bytes_written(), ring.crc32c()});
+  ctx->metrics->scratch_bytes_written += ring.bytes_written();
   return Status::OK();
 }
 
@@ -376,269 +215,33 @@ Status MergeScratchRuns(SortContext* ctx, std::vector<ScratchRun> runs) {
   };
 
   // Cascade: while too many runs remain, merge groups of `fanin` into
-  // next-level scratch runs (classic multi-level external merge).
-  int level = 1;
-  while (runs.size() > fanin) {
+  // next-level scratch runs (classic multi-level external merge). Spent
+  // runs are deleted as soon as they are merged; on error the caller's
+  // ScratchSweeper removes whatever is left.
+  for (int level = 1; runs.size() > fanin; ++level) {
     std::vector<ScratchRun> next;
     for (size_t start = 0; start < runs.size(); start += fanin) {
-      const size_t end = std::min(runs.size(), start + fanin);
-      std::vector<ScratchRun> group(runs.begin() + start,
-                                    runs.begin() + end);
-      const std::string path = ScratchRunPath(opts, level, next.size());
-      Result<std::unique_ptr<File>> out =
-          OpenScratchRun(ctx, path, OpenMode::kCreateReadWrite);
-      if (!out.ok()) {
-        cleanup(runs);
-        return out.status();
-      }
-      uint64_t bytes = 0;
-      uint32_t crc = 0;
-      Status s = MergeScratchRunsToFile(ctx, group, out.value().get(),
-                                        &bytes, &crc);
-      Status close_status = out.value()->Close();
-      if (!s.ok() || !close_status.ok()) {
-        cleanup(runs);
-        cleanup(next);
-        RemoveScratchRun(ctx, path);
-        return s.ok() ? close_status : s;
-      }
-      ctx->metrics->scratch_bytes_written += bytes;
+      const std::vector<ScratchRun> group(
+          runs.begin() + start,
+          runs.begin() + std::min(runs.size(), start + fanin));
+      ALPHASORT_RETURN_IF_ERROR(WriteScratchRun(
+          ctx, level,
+          [&](BufferedWriter* out) {
+            return MergeScratchRunsToWriter(ctx, group, out);
+          },
+          &next));
       cleanup(group);
-      next.push_back(ScratchRun{path, bytes, crc, /*has_crc=*/true});
     }
     runs = std::move(next);
-    ++level;
   }
 
-  uint64_t bytes = 0;
-  uint32_t crc = 0;
-  Status s = MergeScratchRunsToFile(ctx, runs, ctx->output, &bytes, &crc);
+  BufferedWriter out(ctx->output, ctx->aio, MergeBatchBytes(opts),
+                     opts.write_buffers);
+  Status s = MergeScratchRunsToWriter(ctx, runs, &out);
   cleanup(runs);
   ALPHASORT_RETURN_IF_ERROR(s);
-  ctx->metrics->output_crc32c = crc;
+  ctx->metrics->output_crc32c = out.crc32c();
   return ctx->output->Truncate(ctx->input_bytes);
-}
-
-Status RunTwoPass(SortContext* ctx) {
-  PhaseTimer phase;
-  ScratchSweeper sweeper(ctx);
-  std::vector<ScratchRun> runs;
-  Status s;
-  {
-    ProgressPhase(ctx, obs::SortPhase::kRead);
-    obs::TraceSpan span("sort.read_phase");
-    obs::ScopedPerfRegion perf("read_phase");
-    s = SpillRuns(ctx, &runs);
-  }
-  ctx->metrics->read_phase_s = phase.Lap();
-  ctx->metrics->num_runs = runs.size();
-  if (!s.ok()) {
-    for (const auto& run : runs) RemoveScratchRun(ctx, run.path);
-    return s;
-  }
-  {
-    ProgressPhase(ctx, obs::SortPhase::kMerge);
-    obs::TraceSpan span("sort.merge_phase");
-    obs::ScopedPerfRegion perf("merge_phase");
-    s = MergeScratchRuns(ctx, std::move(runs));
-  }
-  ctx->metrics->merge_phase_s = phase.Lap();
-  return s;
-}
-
-Status RunAdaptive(SortContext* ctx) {
-  const SortOptions& opts = *ctx->options;
-  const RecordFormat& fmt = opts.format;
-  const size_t rec = fmt.record_size;
-  const uint64_t per_record = rec + SortOptions::kEntryOverheadBytes;
-  PhaseTimer phase;
-  ScratchSweeper sweeper(ctx);
-
-  // Block sizing. The first block is optimistic: the full memory budget,
-  // so an input that would have planned a one-pass sort still finishes in
-  // one pass even though nobody knew its size up front. Once the first
-  // block overflows, the sort is two-pass regardless and later blocks
-  // drop to the spill path's sizing (half the budget, leaving merge
-  // headroom).
-  const uint64_t first_records = std::max<uint64_t>(
-      opts.run_size_records, opts.memory_budget / per_record);
-  const uint64_t spill_records = std::max<uint64_t>(
-      opts.run_size_records, opts.memory_budget / (2 * per_record));
-
-  std::unique_ptr<char[]> block(new char[first_records * rec]);
-  std::unique_ptr<PrefixEntry[]> entries(new PrefixEntry[first_records]);
-  char* const data = block.get();
-  PrefixEntry* const ents = entries.get();
-
-  // Pulls up to `cap_records` into the block, dispatching a QuickSort
-  // chore at every run boundary so sorting overlaps the (possibly
-  // network-paced) ingest; the block's partial tail run is sorted inline
-  // and the pool drained before returning, so the caller may reuse the
-  // block. `*eof` flips when the stream ends.
-  auto read_block = [&](uint64_t cap_records, uint64_t* out_records,
-                        bool* eof) -> Status {
-    const uint64_t cap_bytes = cap_records * rec;
-    uint64_t filled = 0;
-    uint64_t next_run_start = 0;
-    // Dispatched chores reference the block; they must finish before any
-    // error return unwinds it.
-    auto abandon = [&](Status why) {
-      ctx->pool->WaitIdle();
-      return why;
-    };
-    while (filled < cap_bytes) {
-      // Cancellation/deadline poll, once per ingest chunk.
-      if (Status ctl = CheckControl(ctx); !ctl.ok()) return abandon(ctl);
-      const size_t want = static_cast<size_t>(
-          std::min<uint64_t>(opts.io_chunk_bytes, cap_bytes - filled));
-      size_t got = 0;
-      Status s = ctx->source->Read(data + filled, want, &got);
-      if (!s.ok()) return abandon(s);
-      filled += got;
-      ProgressRead(ctx, got);
-      const uint64_t ready = filled / rec;
-      while (ready - next_run_start >= opts.run_size_records) {
-        const uint64_t start = next_run_start;
-        const uint64_t len = opts.run_size_records;
-        next_run_start += len;
-        ctx->pool->Submit([ctx, data, ents, fmt, start, len] {
-          obs::ScopedJobId job_scope(ctx->job_id);
-          obs::ScopedTraceId trace_scope(ctx->trace_id);
-          obs::TraceSpan span("quicksort.run", "cpu");
-          obs::ScopedPerfRegion perf("quicksort");
-          SortStats stats;
-          BuildPrefixEntryArray(fmt, data + start * fmt.record_size, len,
-                                ents + start,
-                                ctx->options->prefetch_distance);
-          SortPrefixEntryArrayWithKernel(fmt, ents + start, len,
-                                         ctx->options->sort_kernel, &stats);
-          ProgressSorted(ctx, len * fmt.record_size);
-        });
-      }
-      if (got < want) {
-        *eof = true;
-        break;
-      }
-    }
-    if (*eof && filled % rec != 0) {
-      return abandon(Status::Corruption(StrFormat(
-          "stream ended mid-record: %llu trailing bytes (record size %zu)",
-          static_cast<unsigned long long>(filled % rec), rec)));
-    }
-    const uint64_t n = filled / rec;
-    // The block's partial tail run (no more input can join it).
-    if (next_run_start < n) {
-      const uint64_t start = next_run_start;
-      const uint64_t len = n - start;
-      obs::TraceSpan span("quicksort.run", "cpu");
-      obs::ScopedPerfRegion perf("quicksort");
-      SortStats stats;
-      BuildPrefixEntryArray(fmt, data + start * rec, len, ents + start,
-                            opts.prefetch_distance);
-      SortPrefixEntryArrayWithKernel(fmt, ents + start, len,
-                                     opts.sort_kernel, &stats);
-      ProgressSorted(ctx, len * rec);
-    }
-    ctx->pool->WaitIdle();
-    *out_records = n;
-    return Status::OK();
-  };
-
-  // EntryRun views over the current block's first `n` records.
-  auto block_runs = [&](uint64_t n) {
-    std::vector<EntryRun> result;
-    for (uint64_t start = 0; start < n; start += opts.run_size_records) {
-      const uint64_t len =
-          std::min<uint64_t>(opts.run_size_records, n - start);
-      result.push_back(EntryRun{ents + start, ents + start + len});
-    }
-    return result;
-  };
-
-  ProgressPhase(ctx, obs::SortPhase::kRead);
-  std::optional<obs::TraceSpan> read_span;
-  read_span.emplace("sort.read_phase");
-  std::optional<obs::ScopedPerfRegion> read_perf;
-  read_perf.emplace("read_phase");
-
-  bool eof = false;
-  uint64_t n0 = 0;
-  ALPHASORT_RETURN_IF_ERROR(read_block(first_records, &n0, &eof));
-
-  if (eof) {
-    // The whole input arrived within the budget: one pass after all.
-    ctx->num_records = n0;
-    ctx->input_bytes = n0 * rec;
-    ctx->metrics->passes = 1;
-    if (ctx->progress != nullptr) {
-      ctx->progress->SetPlan(ctx->input_bytes, 1);
-    }
-    ctx->metrics->read_phase_s = phase.Lap();
-    read_perf.reset();
-    read_span.reset();
-    if (n0 == 0) {
-      ctx->metrics->num_runs = 0;
-      return Status::OK();
-    }
-    std::vector<EntryRun> entry_runs = block_runs(n0);
-    ctx->metrics->num_runs = entry_runs.size();
-    return MergeEntryRunsToOutput(ctx, entry_runs, ctx->input_bytes);
-  }
-
-  // The first block overflowed the budget: spill it as scratch run 0 and
-  // degrade to spill-as-usual for the rest of the stream.
-  uint64_t total_records = n0;
-  std::vector<ScratchRun> runs;
-  auto spill_block = [&](uint64_t n) -> Status {
-    RunMerger<> merger(fmt, block_runs(n), TreeLayout::kFlat, nullptr,
-                       nullptr, opts.merge_prefetch);
-    const std::string path = ScratchRunPath(opts, 0, runs.size());
-    Result<std::unique_ptr<File>> run_file =
-        OpenScratchRun(ctx, path, OpenMode::kCreateReadWrite);
-    ALPHASORT_RETURN_IF_ERROR(run_file.status());
-    uint64_t written = 0;
-    uint32_t crc = 0;
-    Status s = WriteRunFile(ctx, merger, run_file.value().get(), &written,
-                            &crc);
-    Status close_status = run_file.value()->Close();
-    ALPHASORT_RETURN_IF_ERROR(s);
-    ALPHASORT_RETURN_IF_ERROR(close_status);
-    runs.push_back(ScratchRun{path, written, crc, /*has_crc=*/true});
-    ctx->metrics->scratch_bytes_written += written;
-    ProgressSpilled(ctx, written);
-    return Status::OK();
-  };
-
-  Status s = spill_block(n0);
-  while (s.ok() && !eof) {
-    uint64_t n = 0;
-    s = read_block(spill_records, &n, &eof);
-    if (!s.ok() || n == 0) break;
-    total_records += n;
-    s = spill_block(n);
-  }
-  ctx->num_records = total_records;
-  ctx->input_bytes = total_records * rec;
-  ctx->metrics->read_phase_s = phase.Lap();
-  ctx->metrics->num_runs = runs.size();
-  read_perf.reset();
-  read_span.reset();
-  if (!s.ok()) {
-    for (const auto& run : runs) RemoveScratchRun(ctx, run.path);
-    return s;
-  }
-  ctx->metrics->passes = 2;
-  if (ctx->progress != nullptr) {
-    ctx->progress->SetPlan(ctx->input_bytes, 2);
-  }
-  {
-    ProgressPhase(ctx, obs::SortPhase::kMerge);
-    obs::TraceSpan span("sort.merge_phase");
-    obs::ScopedPerfRegion perf("merge_phase");
-    s = MergeScratchRuns(ctx, std::move(runs));
-  }
-  ctx->metrics->merge_phase_s = phase.Lap();
-  return s;
 }
 
 }  // namespace core_internal

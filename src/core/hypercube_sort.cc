@@ -52,19 +52,10 @@ Status HypercubeBody(core_internal::SortContext* ctx,
   core_internal::ProgressPhase(ctx, obs::SortPhase::kRead);
   std::unique_ptr<char[]> records(new char[bytes]);
   {
-    uint64_t offset = 0;
-    const size_t chunk = ctx->options->io_chunk_bytes;
-    while (offset < bytes) {
-      ALPHASORT_RETURN_IF_ERROR(core_internal::CheckControl(ctx));
-      const size_t len =
-          static_cast<size_t>(std::min<uint64_t>(chunk, bytes - offset));
-      size_t got = 0;
-      ALPHASORT_RETURN_IF_ERROR(
-          ctx->source->Read(records.get() + offset, len, &got));
-      if (got != len) return Status::Corruption("short read of input");
-      core_internal::ProgressRead(ctx, got);
-      offset += len;
-    }
+    uint64_t got = 0;
+    bool eof = false;
+    ALPHASORT_RETURN_IF_ERROR(core_internal::ReadRecords(
+        ctx, records.get(), n, nullptr, &got, &eof));
   }
   metrics->read_s = phase.Lap();
   ctx->metrics->read_phase_s = metrics->read_s;

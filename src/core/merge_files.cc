@@ -94,7 +94,7 @@ Status MergeSortedFiles(Env* env, const std::vector<std::string>& inputs,
     const char* rec = tree.WinnerItem().record;
     if (emitted > 0 &&
         memcmp(prev_key.data(), fmt.KeyPtr(rec), fmt.key_size) > 0) {
-      writer.Finish();
+      writer.Abort();
       return Status::Corruption(StrFormat(
           "input is not sorted (order violation at output record %llu)",
           static_cast<unsigned long long>(emitted)));

@@ -17,7 +17,9 @@
 
 namespace alphasort {
 namespace core_internal {
+namespace {
 
+// Gathers `ptrs[0..n)` into `out` in parallel slices across the pool.
 void ParallelGather(SortContext* ctx, const char* const* ptrs, size_t n,
                     char* out) {
   const RecordFormat& fmt = ctx->options->format;
@@ -37,8 +39,6 @@ void ParallelGather(SortContext* ctx, const char* const* ptrs, size_t n,
     }
   });
 }
-
-namespace {
 
 // Aggregates per-chore sort stats under a lock (chores run concurrently).
 class StatsSink {
@@ -108,6 +108,13 @@ struct RangeBuffer {
 // buffers). An abort — IO error or cancellation — raises `abort` under
 // the lock and wakes every waiter; workers drain out at their next
 // buffer acquisition.
+//
+// This root loop is the one writer that does not stream through the
+// output ring (io/buffered_writer.h). Its buffers are filled by many
+// workers at once, sealed out of file order at per-range offsets and
+// checksummed per range; the ring has one producer, writes consecutive
+// offsets and folds a single CRC in submit order. Serving both would
+// make the ring branch on its caller.
 Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
                         uint32_t* crc_out) {
   const SortOptions& opts = *ctx->options;
@@ -289,304 +296,347 @@ Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
   return status;
 }
 
-}  // namespace
-
-Status RunOnePass(SortContext* ctx) {
+// Merges sorted entry `runs` batch by batch through one tournament and
+// gathers each batch in parallel straight into the ring's next buffer —
+// the in-memory merge's output and every spilled run alike. `progress`
+// receives the bytes of each sealed batch. On return the ring is
+// finished, or aborted on error.
+Status MergeToWriter(SortContext* ctx, std::vector<EntryRun> runs,
+                     BufferedWriter* out,
+                     void (*progress)(SortContext*, uint64_t)) {
   const SortOptions& opts = *ctx->options;
   const RecordFormat& fmt = opts.format;
-  const uint64_t bytes = ctx->input_bytes;
-  const uint64_t n = ctx->num_records;
+  RunMerger<> merger(fmt, std::move(runs), TreeLayout::kFlat, nullptr,
+                     &ctx->metrics->merge_stats, opts.merge_prefetch);
+  const size_t batch_records = out->buffer_bytes() / fmt.record_size;
+  std::vector<const char*> ptrs(batch_records);
+  Status status;
+  while (status.ok() && !merger.Done()) {
+    // Cancellation/deadline poll, once per output batch.
+    status = CheckControl(ctx);
+    char* dst = nullptr;
+    size_t room = 0;
+    if (status.ok()) {
+      // Reclaiming the buffer from its earlier write is part of the
+      // output seal step, not the merge proper — account it there so the
+      // "merge" region stays a pure tournament measurement (docs/perf.md).
+      obs::ScopedPerfRegion perf("merge.seal");
+      status = out->Acquire(&dst, &room);
+    }
+    if (!status.ok()) break;
+    size_t got;
+    {
+      obs::TraceSpan span("merge.batch", "cpu");
+      obs::ScopedPerfRegion perf("merge");
+      got = merger.NextBatch(ptrs.data(), batch_records);
+    }
+    ParallelGather(ctx, ptrs.data(), got, dst);
+    {
+      obs::TraceSpan span("merge.seal", "io");
+      obs::ScopedPerfRegion perf("merge.seal");
+      out->Seal(got * fmt.record_size);
+    }
+    progress(ctx, got * fmt.record_size);
+  }
+  if (!status.ok()) {
+    out->Abort();
+    return status;
+  }
+  return out->Finish();
+}
+
+// Touches one page in every 4 KiB of the fresh block and entry arrays,
+// in parallel slices (§5: "the workers sweep through the address space
+// touching pages... zeroing a 1 GB address space takes 12 cpu seconds"),
+// so page faults don't serialize inside the read and sort loops. Never
+// called on a resident source's (read-only) buffer.
+void Prefault(SortContext* ctx, char* block, size_t block_len,
+              PrefixEntry* entries, size_t num_entries) {
+  constexpr size_t kPage = 4096;
+  const size_t slices = static_cast<size_t>(ctx->pool->num_workers()) + 1;
+  auto touch = [slices](char* base, size_t len, size_t slice) {
+    const size_t per = (len + slices - 1) / slices;
+    const size_t lo = slice * per;
+    const size_t hi = std::min(len, lo + per);
+    for (size_t i = lo; i < hi; i += kPage) base[i] = 0;
+  };
+  char* entry_bytes = reinterpret_cast<char*>(entries);
+  const size_t entry_len = num_entries * sizeof(PrefixEntry);
+  ctx->pool->ParallelFor(slices, [&](size_t s) {
+    if (block != nullptr) touch(block, block_len, s);
+    touch(entry_bytes, entry_len, s);
+  });
+}
+
+// EntryRun views over the first `n` entries, one per sorted run.
+std::vector<EntryRun> BlockRuns(const PrefixEntry* entries, uint64_t n,
+                                uint64_t run_records) {
+  std::vector<EntryRun> runs;
+  for (uint64_t start = 0; start < n; start += run_records) {
+    const uint64_t len = std::min<uint64_t>(run_records, n - start);
+    runs.push_back(EntryRun{entries + start, entries + start + len});
+  }
+  return runs;
+}
+
+// The in-memory merge phase: merges the sorted `entry_runs` (entry arrays
+// over resident records) into ctx->output — partitioned across workers
+// when configured, a single sequential tournament otherwise — then
+// truncates to the input size and fills the merge metrics.
+Status MergeEntryRunsToOutput(SortContext* ctx,
+                              const std::vector<EntryRun>& entry_runs) {
+  const SortOptions& opts = *ctx->options;
+  const RecordFormat& fmt = opts.format;
+  PhaseTimer phase;
+  obs::TraceSpan merge_phase_span("sort.merge_phase");
+  obs::ScopedPerfRegion merge_phase_perf("merge_phase");
+
+  // Merge strategy (§5): with workers available, split the key space
+  // into ~workers+1 disjoint ranges and let every worker drive its own
+  // tournament; without workers (or when the split degenerates — all
+  // keys equal, a single run) fall through to the classic single global
+  // tournament. A zero-worker pool must stay sequential: its Submit()
+  // runs chores inline on the root, which would deadlock the fill/seal
+  // handshake of the partitioned merge.
+  size_t want_ranges = 1;
+  if (ctx->pool->num_workers() > 0) {
+    want_ranges = opts.merge_parallelism == -1
+                      ? static_cast<size_t>(ctx->pool->num_workers()) + 1
+                      : static_cast<size_t>(opts.merge_parallelism);
+  }
+  MergePartition partition;
+  if (want_ranges > 1) {
+    obs::TraceSpan span("merge.partition", "cpu");
+    obs::ScopedPerfRegion perf("merge.partition");
+    partition = PartitionEntryRuns(fmt, entry_runs, want_ranges);
+  }
+  uint32_t crc = 0;
+  if (partition.NumRanges() > 1) {
+    PartitionCounters::Get()->sorts->Add();
+    PartitionCounters::Get()->ranges->Add(partition.NumRanges());
+    ctx->metrics->merge_ranges = partition.NumRanges();
+    ALPHASORT_RETURN_IF_ERROR(PartitionedMerge(ctx, partition, &crc));
+  } else {
+    BufferedWriter ring(ctx->output, ctx->aio, MergeBatchBytes(opts),
+                        opts.write_buffers);
+    ALPHASORT_RETURN_IF_ERROR(
+        MergeToWriter(ctx, entry_runs, &ring, ProgressMerged));
+    crc = ring.crc32c();
+  }
+  ALPHASORT_RETURN_IF_ERROR(ctx->output->Truncate(ctx->input_bytes));
+  ctx->metrics->output_crc32c = crc;
+  ctx->metrics->merge_phase_s = phase.Lap();
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
+                   const std::function<void(uint64_t)>& on_pull,
+                   uint64_t* records, bool* eof) {
+  const size_t rec = ctx->options->format.record_size;
+  uint64_t cap = cap_records * rec;
+  if (ctx->size_known) {
+    cap = std::min<uint64_t>(cap, ctx->input_bytes - ctx->bytes_read);
+  }
+  uint64_t filled = 0;
+  bool ended = false;
+  while (filled < cap) {
+    // Cancellation/deadline poll, once per pull.
+    ALPHASORT_RETURN_IF_ERROR(CheckControl(ctx));
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(ctx->options->io_chunk_bytes, cap - filled));
+    size_t got = 0;
+    ALPHASORT_RETURN_IF_ERROR(ctx->source->Read(dst + filled, want, &got));
+    filled += got;
+    ctx->bytes_read += got;
+    ProgressRead(ctx, got);
+    if (on_pull) on_pull(filled / rec);
+    if (got < want) {
+      ended = true;
+      if (ctx->size_known) {
+        // The source promised TotalBytes and delivered fewer: the input
+        // was truncated (or a producer lied about its size).
+        return Status::Corruption(StrFormat(
+            "short read at offset %llu: wanted %zu got %zu",
+            static_cast<unsigned long long>(ctx->bytes_read - got), want,
+            got));
+      }
+      break;
+    }
+  }
+  if (ended && filled % rec != 0) {
+    return Status::Corruption(StrFormat(
+        "stream ended mid-record: %llu trailing bytes (record size %zu)",
+        static_cast<unsigned long long>(filled % rec), rec));
+  }
+  *records = filled / rec;
+  *eof = ctx->size_known ? ctx->bytes_read == ctx->input_bytes : ended;
+  return Status::OK();
+}
+
+Status RunPasses(SortContext* ctx) {
+  const SortOptions& opts = *ctx->options;
+  const size_t rec = opts.format.record_size;
+  const uint64_t run_records = opts.run_size_records;
   PhaseTimer phase;
 
-  if (n == 0) {
-    ctx->metrics->num_runs = 0;
-    return Status::OK();
-  }
-
-  // Zero-copy fast path: a source whose entire input is already resident
-  // in one immutable buffer (mmap, memory, generated) needs no record
-  // array and no read loop — entries reference the source's bytes
-  // directly, and the only copy left in the whole sort is the gather.
+  // Zero-copy: a source whose entire input is already resident in one
+  // immutable buffer (mmap, memory, generated) needs no record block and
+  // no read loop — entries reference the source's bytes directly, and
+  // the only copy left in a one-pass sort is the gather.
   uint64_t resident_len = 0;
   const char* resident = ctx->source->ContiguousBytes(&resident_len);
-  const bool zero_copy = resident != nullptr && resident_len == bytes;
-
-  // Otherwise records are copied out of the source and stay where they
-  // land; entries reference them. Raw uninitialized allocation:
-  // zero-filling it here would touch every page serially, which is
-  // exactly the cost §5 offloads to the workers.
-  std::unique_ptr<char[]> records;
-  const char* data = resident;
-  if (!zero_copy) {
-    records.reset(new char[bytes]);
-    data = records.get();
+  if (!ctx->size_known || resident_len != ctx->input_bytes) {
+    resident = nullptr;
   }
-  std::unique_ptr<PrefixEntry[]> entries(new PrefixEntry[n]);
+
+  // One block and entry array, sized for the first block; later blocks
+  // (spill sizing) never exceed it. Raw uninitialized allocation:
+  // zero-filling here would touch every page serially, which is exactly
+  // the cost §5 offloads to the workers. Streams skip the prefault — they
+  // rarely fill their optimistic first block.
+  const uint64_t cap0 = ctx->first_block_records;
+  std::unique_ptr<char[]> block(resident ? nullptr : new char[cap0 * rec]);
+  std::unique_ptr<PrefixEntry[]> entries(new PrefixEntry[cap0]);
+  PrefixEntry* const ents = entries.get();
+  if (opts.prefault_memory && ctx->size_known) {
+    Prefault(ctx, block.get(), cap0 * rec, ents, cap0);
+  }
+
   StatsSink qs_stats;
+  // Builds and sorts the entries of run [start, start + len) of the block
+  // at `base`.
+  auto sort_run = [ctx, &opts, rec, ents, &qs_stats](
+                      const char* base, uint64_t start, uint64_t len) {
+    obs::TraceSpan span("quicksort.run", "cpu");
+    obs::ScopedPerfRegion perf("quicksort");
+    SortStats stats;
+    BuildPrefixEntryArray(opts.format, base + start * rec, len, ents + start,
+                          opts.prefetch_distance);
+    SortPrefixEntryArrayWithKernel(opts.format, ents + start, len,
+                                   opts.sort_kernel, &stats);
+    qs_stats.Add(stats);
+    ProgressSorted(ctx, len * rec);
+  };
 
-  // Prefault the fresh arrays across the workers (§5: "the workers sweep
-  // through the address space touching pages... zeroing a 1 GB address
-  // space takes 12 cpu seconds") so page faults don't serialize inside
-  // the IO and QuickSort loops. Prefaulting writes, so it must never
-  // touch a zero-copy source's (read-only, already-resident) buffer —
-  // only the entry array gets swept there.
-  if (opts.prefault_memory) {
-    constexpr size_t kPage = 4096;
-    const size_t slices = static_cast<size_t>(ctx->pool->num_workers()) + 1;
-    auto prefault = [slices](char* base, size_t len, size_t slice) {
-      const size_t per = (len + slices - 1) / slices;
-      const size_t lo = slice * per;
-      const size_t hi = std::min(len, lo + per);
-      for (size_t i = lo; i < hi; i += kPage) base[i] = 0;
-    };
-    char* entry_bytes = reinterpret_cast<char*>(entries.get());
-    const size_t entry_len = n * sizeof(PrefixEntry);
-    ctx->pool->ParallelFor(slices, [&](size_t s) {
-      if (!zero_copy) prefault(records.get(), bytes, s);
-      prefault(entry_bytes, entry_len, s);
-    });
-  }
-
-  // --- read phase: sequential source pulls overlapped with per-run
-  // extract+QuickSort chores (§7); the source keeps its own read-ahead in
-  // flight (FileRecordSource rings `io_depth` chunks). Bytes arrive in
-  // record order, so runs become ready as the read front passes their
-  // last record. The zero-copy path skips the pulls entirely and
-  // dispatches every full run at once.
-  {
-    ProgressPhase(ctx, obs::SortPhase::kRead);
-    std::optional<obs::TraceSpan> phase_span;
-    phase_span.emplace("sort.read_phase");
-    std::optional<obs::ScopedPerfRegion> phase_perf;
-    phase_perf.emplace("read_phase");
-
-    uint64_t next_run_start = 0;  // first record of the next unsorted run
-    auto dispatch_runs_below = [&](uint64_t records_ready) {
-      while (next_run_start < records_ready &&
-             records_ready - next_run_start >= opts.run_size_records) {
-        const uint64_t start = next_run_start;
-        const uint64_t len = opts.run_size_records;
-        next_run_start += len;
-        ctx->pool->Submit([ctx, data, &entries, &qs_stats, fmt, start,
-                           len] {
-          obs::ScopedJobId job_scope(ctx->job_id);
-          obs::ScopedTraceId trace_scope(ctx->trace_id);
-          obs::TraceSpan span("quicksort.run", "cpu");
-          obs::ScopedPerfRegion perf("quicksort");
-          SortStats stats;
-          NullTracer tracer;
-          BuildPrefixEntryArray(fmt, data + start * fmt.record_size, len,
-                                entries.get() + start,
-                                ctx->options->prefetch_distance);
-          SortPrefixEntriesWithKernel(fmt, entries.get() + start, len,
-                                      ctx->options->sort_kernel, &stats,
-                                      &tracer);
-          qs_stats.Add(stats);
-          ProgressSorted(ctx, len * fmt.record_size);
-        });
-      }
-    };
-    // On an error return, dispatched chores still reference the local
-    // buffers; they must complete before the stack unwinds. (The
-    // source's own read-ahead targets its own buffers — the harness
-    // drains it at Close.)
-    auto abandon = [&](Status why) {
-      ctx->pool->WaitIdle();
-      return why;
-    };
-
-    if (zero_copy) {
-      ProgressRead(ctx, bytes);
-      dispatch_runs_below(n);
-    } else {
-      const size_t chunk = opts.io_chunk_bytes;
-      const uint64_t num_chunks = (bytes + chunk - 1) / chunk;
-      for (uint64_t c = 0; c < num_chunks; ++c) {
-        // Cancellation/deadline poll, once per read chunk.
-        if (Status ctl = CheckControl(ctx); !ctl.ok()) {
-          return abandon(ctl);
-        }
-        const uint64_t off = c * chunk;
-        const size_t expect =
-            static_cast<size_t>(std::min<uint64_t>(chunk, bytes - off));
-        size_t got = 0;
-        Status read_status =
-            ctx->source->Read(records.get() + off, expect, &got);
-        if (!read_status.ok()) return abandon(read_status);
-        if (got != expect) {
-          // The source promised TotalBytes and delivered fewer: the input
-          // was truncated (or a stream producer lied about its size).
-          return abandon(Status::Corruption(StrFormat(
-              "short read at offset %llu: wanted %zu got %zu",
-              static_cast<unsigned long long>(off), expect, got)));
-        }
-        ProgressRead(ctx, got);
-        dispatch_runs_below(
-            std::min<uint64_t>(n, ((c + 1) * chunk) / fmt.record_size));
-      }
-    }
-    ctx->metrics->read_phase_s = phase.Lap();
+  // Phase laps: read_phase runs until the input ends; last_run from there
+  // to the merge (the tail sort that cannot overlap any input, §7, and a
+  // spilling sort's final spill).
+  ProgressPhase(ctx, obs::SortPhase::kRead);
+  std::optional<obs::TraceSpan> phase_span;
+  phase_span.emplace("sort.read_phase");
+  std::optional<obs::ScopedPerfRegion> phase_perf;
+  phase_perf.emplace("read_phase");
+  auto input_ended = [&] {
+    ctx->metrics->read_phase_s += phase.Lap();
     ProgressPhase(ctx, obs::SortPhase::kLastRun);
     phase_span.emplace("sort.last_run");
     phase_perf.emplace("last_run");
-
-    // --- last run: the partial tail cannot overlap any input (§7's
-    // "AlphaSort must then sort the last partition").
-    if (next_run_start < n) {
-      const uint64_t start = next_run_start;
-      const uint64_t len = n - next_run_start;
-      obs::TraceSpan span("quicksort.run", "cpu");
-      obs::ScopedPerfRegion perf("quicksort");
-      SortStats stats;
-      BuildPrefixEntryArray(fmt, data + start * fmt.record_size, len,
-                            entries.get() + start, opts.prefetch_distance);
-      SortPrefixEntryArrayWithKernel(fmt, entries.get() + start, len,
-                                     opts.sort_kernel, &stats);
-      qs_stats.Add(stats);
-      ProgressSorted(ctx, len * fmt.record_size);
+  };
+  bool eof = false;
+  auto merge_begins = [&] {
+    (eof ? ctx->metrics->last_run_s : ctx->metrics->read_phase_s) +=
+        phase.Lap();
+    phase_perf.reset();
+    phase_span.reset();
+    ctx->metrics->quicksort_stats = qs_stats.Take();
+    if (!ctx->size_known) {
+      ctx->num_records = ctx->bytes_read / rec;
+      ctx->input_bytes = ctx->num_records * rec;
+      if (ctx->progress != nullptr) {
+        ctx->progress->SetPlan(ctx->input_bytes, ctx->metrics->passes);
+      }
     }
-    ctx->pool->WaitIdle();
-    ctx->metrics->last_run_s = phase.Lap();
-  }
-
-  // --- merge + gather + write phase, shared with RunAdaptive.
-  std::vector<EntryRun> runs;
-  for (uint64_t start = 0; start < n; start += opts.run_size_records) {
-    const uint64_t len = std::min<uint64_t>(opts.run_size_records,
-                                            n - start);
-    runs.push_back(
-        EntryRun{entries.get() + start, entries.get() + start + len});
-  }
-  ctx->metrics->num_runs = runs.size();
-  ctx->metrics->quicksort_stats = qs_stats.Take();
-  return MergeEntryRunsToOutput(ctx, runs, bytes);
-}
-
-Status MergeEntryRunsToOutput(SortContext* ctx,
-                              const std::vector<EntryRun>& entry_runs,
-                              uint64_t bytes) {
-  const SortOptions& opts = *ctx->options;
-  const RecordFormat& fmt = opts.format;
-  PhaseTimer phase;
-  {
     ProgressPhase(ctx, obs::SortPhase::kMerge);
-    obs::TraceSpan merge_phase_span("sort.merge_phase");
-    obs::ScopedPerfRegion merge_phase_perf("merge_phase");
-    std::vector<EntryRun> runs = entry_runs;
+  };
 
-    // Merge strategy (§5): with workers available, split the key space
-    // into ~workers+1 disjoint ranges and let every worker drive its own
-    // tournament; without workers (or when the split degenerates — all
-    // keys equal, a single run) fall through to the classic single
-    // global tournament. A zero-worker pool must stay sequential: its
-    // Submit() runs chores inline on the root, which would deadlock the
-    // fill/seal handshake below.
-    size_t want_ranges = 1;
-    if (ctx->pool->num_workers() > 0) {
-      want_ranges =
-          opts.merge_parallelism == -1
-              ? static_cast<size_t>(ctx->pool->num_workers()) + 1
-              : static_cast<size_t>(opts.merge_parallelism);
-    }
-    if (want_ranges > 1) {
-      MergePartition partition;
-      {
-        obs::TraceSpan span("merge.partition", "cpu");
-        obs::ScopedPerfRegion perf("merge.partition");
-        partition = PartitionEntryRuns(fmt, runs, want_ranges);
+  // Ingests one block of up to `cap` records: sorts every run as the read
+  // front passes it (a chore per run), the tail inline, and drains the
+  // pool, so the caller may merge or reuse the block.
+  auto ingest_block = [&](uint64_t cap, uint64_t* n, bool* at_end) {
+    uint64_t next_run = 0;
+    auto dispatch_runs_below = [&](const char* data, uint64_t ready) {
+      for (; ready - next_run >= run_records; next_run += run_records) {
+        ctx->pool->Submit([ctx, &sort_run, data, start = next_run,
+                           run_records] {
+          obs::ScopedJobId job_scope(ctx->job_id);
+          obs::ScopedTraceId trace_scope(ctx->trace_id);
+          sort_run(data, start, run_records);
+        });
       }
-      if (partition.NumRanges() > 1) {
-        PartitionCounters::Get()->sorts->Add();
-        PartitionCounters::Get()->ranges->Add(partition.NumRanges());
-        ctx->metrics->merge_ranges = partition.NumRanges();
-        uint32_t crc = 0;
-        ALPHASORT_RETURN_IF_ERROR(PartitionedMerge(ctx, partition, &crc));
-        ALPHASORT_RETURN_IF_ERROR(ctx->output->Truncate(bytes));
-        ctx->metrics->output_crc32c = crc;
-        ctx->metrics->merge_phase_s = phase.Lap();
-        return Status::OK();
-      }
-    }
-
-    RunMerger<> merger(fmt, std::move(runs), TreeLayout::kFlat, nullptr,
-                       &ctx->metrics->merge_stats, opts.merge_prefetch);
-
-    // Multi-buffered output: gather into one buffer while earlier ones
-    // drain (write_buffers = 2 is classic double buffering; wider rings
-    // keep every member of a slow stripe writing).
-    const size_t batch_records =
-        std::max<size_t>(1, opts.io_chunk_bytes / fmt.record_size);
-    struct OutBuffer {
-      std::vector<char> data;
-      AsyncIO::Handle pending = 0;
-      bool in_flight = false;
     };
-    std::vector<OutBuffer> bufs(
-        static_cast<size_t>(std::max(2, opts.write_buffers)));
-    for (auto& b : bufs) b.data.resize(batch_records * fmt.record_size);
-    std::vector<const char*> ptrs(batch_records);
-
-    // On error, the other buffer's write may still be in flight and must
-    // complete before the buffers go out of scope.
-    auto abandon = [&bufs, ctx](Status why) {
-      for (auto& b : bufs) {
-        if (b.in_flight) {
-          ctx->aio->Wait(b.pending);
-          b.in_flight = false;
-        }
-      }
-      return why;
-    };
-
-    uint64_t out_offset = 0;
-    uint32_t out_crc = 0;
-    size_t which = 0;
-    while (!merger.Done()) {
-      // Cancellation/deadline poll, once per merge output batch.
-      if (Status ctl = CheckControl(ctx); !ctl.ok()) return abandon(ctl);
-      OutBuffer& buf = bufs[which];
-      if (buf.in_flight) {
-        // Reclaiming the buffer from its earlier write is part of the
-        // output seal step, not the merge proper — account it there so
-        // the "merge" region stays a pure tournament measurement
-        // (docs/perf.md).
-        obs::ScopedPerfRegion perf("merge.seal");
-        buf.in_flight = false;
-        Status write_status = ctx->aio->Wait(buf.pending);
-        if (!write_status.ok()) return abandon(write_status);
-      }
-      size_t got;
-      {
-        obs::TraceSpan span("merge.batch", "cpu");
-        obs::ScopedPerfRegion perf("merge");
-        got = merger.NextBatch(ptrs.data(), batch_records);
-      }
-      ParallelGather(ctx, ptrs.data(), got, buf.data.data());
-      {
-        obs::TraceSpan span("merge.seal", "io");
-        obs::ScopedPerfRegion perf("merge.seal");
-        out_crc = Crc32c(buf.data.data(), got * fmt.record_size, out_crc);
-        buf.pending = ctx->aio->SubmitWrite(ctx->output, out_offset,
-                                            buf.data.data(),
-                                            got * fmt.record_size);
-      }
-      buf.in_flight = true;
-      out_offset += got * fmt.record_size;
-      ProgressMerged(ctx, got * fmt.record_size);
-      which = (which + 1) % bufs.size();
+    const char* base = block.get();
+    Status s;
+    if (resident != nullptr) {
+      base = resident + ctx->bytes_read;
+      *n = std::min<uint64_t>(cap,
+                              (ctx->input_bytes - ctx->bytes_read) / rec);
+      ctx->bytes_read += *n * rec;
+      *at_end = ctx->bytes_read == ctx->input_bytes;
+      ProgressRead(ctx, *n * rec);
+      s = CheckControl(ctx);
+      if (s.ok()) dispatch_runs_below(base, *n);
+    } else {
+      s = ReadRecords(
+          ctx, block.get(), cap,
+          [&](uint64_t ready) { dispatch_runs_below(block.get(), ready); },
+          n, at_end);
     }
-    for (auto& b : bufs) {
-      if (b.in_flight) {
-        b.in_flight = false;
-        Status write_status = ctx->aio->Wait(b.pending);
-        if (!write_status.ok()) return abandon(write_status);
-      }
+    if (!s.ok()) {
+      // Dispatched chores reference the block; they must finish before
+      // the error unwinds it.
+      ctx->pool->WaitIdle();
+      return s;
     }
-    ALPHASORT_RETURN_IF_ERROR(ctx->output->Truncate(bytes));
-    ctx->metrics->output_crc32c = out_crc;
-    ctx->metrics->merge_phase_s = phase.Lap();
+    if (*at_end) input_ended();
+    if (next_run < *n) sort_run(base, next_run, *n - next_run);
+    ctx->pool->WaitIdle();
+    return Status::OK();
+  };
+
+  uint64_t n = 0;
+  ALPHASORT_RETURN_IF_ERROR(ingest_block(cap0, &n, &eof));
+
+  // The whole input arrived within the first block: one pass, unless a
+  // known-size plan already chose two.
+  if (eof && !(ctx->size_known && ctx->metrics->passes == 2)) {
+    ctx->metrics->passes = 1;
+    ctx->metrics->num_runs = (n + run_records - 1) / run_records;
+    merge_begins();
+    if (n == 0) return Status::OK();
+    return MergeEntryRunsToOutput(ctx, BlockRuns(ents, n, run_records));
   }
-  return Status::OK();
+
+  // Two passes: every block becomes one scratch run.
+  ScratchSweeper sweeper(ctx);
+  std::vector<ScratchRun> runs;
+  Status s;
+  while (s.ok() && n > 0) {
+    s = WriteScratchRun(
+        ctx, /*level=*/0,
+        [&](BufferedWriter* out) {
+          return MergeToWriter(ctx, BlockRuns(ents, n, run_records), out,
+                               ProgressSpilled);
+        },
+        &runs);
+    if (!s.ok() || eof) break;
+    s = ingest_block(SpillBlockRecords(opts), &n, &eof);
+  }
+  // The merge gets the memory back: free the block before it starts.
+  block.reset();
+  entries.reset();
+  ctx->metrics->passes = 2;
+  ctx->metrics->num_runs = runs.size();
+  merge_begins();
+  if (!s.ok()) return s;
+  {
+    obs::TraceSpan span("sort.merge_phase");
+    obs::ScopedPerfRegion perf("merge_phase");
+    s = MergeScratchRuns(ctx, std::move(runs));
+  }
+  ctx->metrics->merge_phase_s = phase.Lap();
+  return s;
 }
 
 }  // namespace core_internal

@@ -1,6 +1,7 @@
 #ifndef ALPHASORT_CORE_PIPELINE_INTERNAL_H_
 #define ALPHASORT_CORE_PIPELINE_INTERNAL_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "core/sort_control.h"
 #include "core/sort_metrics.h"
 #include "io/async_io.h"
+#include "io/buffered_writer.h"
 #include "io/stripe.h"
 #include "obs/progress.h"
 #include "sort/merger.h"
@@ -31,10 +33,18 @@ struct SortContext {
   StripeFile* output = nullptr;
   // Input totals. With size_known they are set before the pass bodies
   // run (and drive one-pass vs two-pass planning); for streamed sources
-  // they start 0 and are filled at end of input by the adaptive path.
+  // they start 0 and are filled at end of input by RunPasses.
   bool size_known = true;
   uint64_t input_bytes = 0;
   uint64_t num_records = 0;
+
+  // The planner's one decision for RunPasses: how many records its
+  // first block holds.
+  uint64_t first_block_records = 0;
+
+  // Input bytes consumed so far; advanced only by ReadRecords and the
+  // zero-copy ingest.
+  uint64_t bytes_read = 0;
 
   // Cooperative cancellation/deadline token, optional. The pipeline
   // polls it at run/merge-batch boundaries via CheckControl.
@@ -81,11 +91,10 @@ inline void ProgressMerged(SortContext* ctx, uint64_t bytes) {
 }
 
 // A pass body: the part of the sort between "input opened, plan chosen"
-// and "output written". The default body is RunOnePass/RunTwoPass (or
-// RunAdaptive for unknown totals); the legacy entry points (VmsSort,
-// HypercubeSort) inject their own bodies and inherit the whole harness —
-// validation, env wrapping, observability, metrics — from the one
-// RunSortPipeline path.
+// and "output written". The default body is RunPasses; the legacy entry
+// points (VmsSort, HypercubeSort) inject their own bodies and inherit the
+// whole harness — validation, env wrapping, observability, metrics — from
+// the one RunSortPipeline path.
 using PipelineBody = std::function<Status(SortContext*)>;
 
 // The whole sort pipeline with caller-provided shared resources: plan
@@ -94,54 +103,63 @@ using PipelineBody = std::function<Status(SortContext*)>;
 // per-job cancellation/deadline token (may be null). The env wrapping
 // (metrics, retry) prescribed by `options` happens inside. `job_id`
 // attributes trace spans and log events; `progress` (may be null)
-// receives live phase/byte-flow updates. A null `body` runs the planner's
-// choice of pass structure. AlphaSort::Run and Sorter jobs both land
-// here.
+// receives live phase/byte-flow updates. A null `body` runs RunPasses.
+// AlphaSort::Run and Sorter jobs both land here.
 Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
                        ChorePool* pool, const SortControl* control,
                        SortMetrics* metrics, uint64_t job_id = 0,
                        obs::JobProgressTracker* progress = nullptr,
                        const PipelineBody& body = nullptr);
 
-// One-pass pipeline: the whole input is held in memory (paper §7).
-Status RunOnePass(SortContext* ctx);
+// Records per spilled block: half the budget's worth, leaving the other
+// half as headroom for the merge that follows (§6).
+inline uint64_t SpillBlockRecords(const SortOptions& opts) {
+  const uint64_t per_record =
+      opts.format.record_size + SortOptions::kEntryOverheadBytes;
+  return std::max<uint64_t>(opts.run_size_records,
+                            opts.memory_budget / (2 * per_record));
+}
 
-// Two-pass external sort: QuickSorted runs spill to scratch files and are
-// streamed back through a tournament merge (paper §6).
-Status RunTwoPass(SortContext* ctx);
+// Output buffer size for every merge: whole records, about one IO chunk.
+inline size_t MergeBatchBytes(const SortOptions& opts) {
+  const size_t rec = opts.format.record_size;
+  return std::max<size_t>(1, opts.io_chunk_bytes / rec) * rec;
+}
 
-// Adaptive pipeline for sources with unknown totals (live streams): reads
-// opportunistically into the full memory budget, QuickSorting runs as the
-// bytes arrive; if the input ends inside the first block the sort
-// finishes in one pass, otherwise the block spills as scratch run 0 and
-// the sort degrades to spill-as-usual plus a merge. Sets
+// The default pass body — the one ingest path for every source. It
+// reads the input block by block (records copied out of the source, or
+// referenced in place when the source is resident in one buffer) and
+// dispatches an entry-build + run-sort chore at each run boundary as the
+// read front passes it, sorting each block's tail inline. If the input
+// ends inside the first block, and the plan allows one pass, the runs are
+// merged in memory straight to the output (paper §7). Otherwise every
+// block is merged into a scratch run and the runs are cascaded into the
+// output (§6). Only the first block's size comes from the planner
+// (ctx->first_block_records); later blocks hold SpillBlockRecords. Sets
 // ctx->input_bytes / num_records / the progress plan at end of input.
-Status RunAdaptive(SortContext* ctx);
+Status RunPasses(SortContext* ctx);
 
-// The in-memory merge phase shared by RunOnePass and RunAdaptive's
-// one-pass outcome: merges the sorted `runs` (entry arrays over resident
-// records) into ctx->output — partitioned across workers when configured,
-// a single sequential tournament otherwise — then truncates to `bytes`
-// and fills the merge metrics.
-Status MergeEntryRunsToOutput(SortContext* ctx,
-                              const std::vector<EntryRun>& runs,
-                              uint64_t bytes);
+// The pipeline's one read loop. Pulls up to `cap_records` records from
+// ctx->source into `dst` in io_chunk_bytes pieces, polling cancellation
+// once per pull and calling `on_pull(records_ready)` (may be empty) after
+// each. `*eof` reports the end of input: the known total reached, or a
+// stream's short read. A known-size source that ends early, or a stream
+// that ends mid-record, is Status::Corruption. On error, work dispatched
+// by `on_pull` may still reference `dst`; the caller drains it.
+Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
+                   const std::function<void(uint64_t)>& on_pull,
+                   uint64_t* records, bool* eof);
 
-// Gathers `ptrs[0..n)` into `out` in parallel slices across the pool.
-void ParallelGather(SortContext* ctx, const char* const* ptrs, size_t n,
-                    char* out);
-
-// A sorted run spilled to a scratch file. The CRC-32C of the run's byte
-// stream is computed as it is written and verified as the merge pass
-// streams it back (SortOptions::verify_run_checksums), so an undetected
-// scratch-disk corruption surfaces as Status::Corruption instead of
-// silently wrong output. Runs merged from pre-existing files (no known
-// checksum) leave has_crc false.
+// A sorted run spilled to a scratch file. The output ring computes the
+// CRC-32C of the run's byte stream as it is written, and the merge pass
+// verifies it as it streams the run back
+// (SortOptions::verify_run_checksums), so an undetected scratch-disk
+// corruption surfaces as Status::Corruption instead of silently wrong
+// output.
 struct ScratchRun {
   std::string path;
   uint64_t bytes = 0;
   uint32_t crc32c = 0;
-  bool has_crc = false;
 };
 
 // Scope guard for the scratch namespace: on destruction deletes every
@@ -178,13 +196,12 @@ Result<std::unique_ptr<File>> OpenScratchRun(SortContext* ctx,
 // Removes a scratch run (definition + members for striped runs).
 void RemoveScratchRun(SortContext* ctx, const std::string& path);
 
-// Streams `runs` through a tournament of RunReaders into `out`,
-// verifying each run's CRC-32C as it drains and accumulating the CRC of
-// the merged output into `*crc_out` (optional).
-Status MergeScratchRunsToFile(SortContext* ctx,
-                              const std::vector<ScratchRun>& runs,
-                              File* out, uint64_t* bytes_out,
-                              uint32_t* crc_out = nullptr);
+// Creates scratch run `runs->size()` of cascade `level`, streams `fill`
+// into it through an output ring, closes it, and appends the run — with
+// the ring's CRC-32C — to `*runs`.
+Status WriteScratchRun(SortContext* ctx, int level,
+                       const std::function<Status(BufferedWriter*)>& fill,
+                       std::vector<ScratchRun>* runs);
 
 // Merges `runs` into ctx->output, cascading through intermediate levels
 // while more than options->max_merge_fanin runs remain. Consumed scratch

@@ -45,7 +45,7 @@ class RecordFileReader {
   std::unique_ptr<RunReader> reader_;
 };
 
-// Append-only record writer with double-buffered asynchronous writes.
+// Append-only record writer over the output ring (io/buffered_writer.h).
 class RecordFileWriter {
  public:
   // Creates (truncates) `path`; a missing ".str" definition is an error —

@@ -45,7 +45,8 @@ Status GenerateRuns(core_internal::SortContext* ctx,
   *direct_to_output = ctx->size_known && capacity >= ctx->num_records;
   std::vector<char> workspace((capacity + 1) * r);
 
-  // Sink state: a buffered writer per run.
+  // Sink state: an output ring per run; its running CRC becomes the
+  // scratch run's checksum, verified when the merge reads the run back.
   Status sink_error;
   std::unique_ptr<File> run_file;
   std::unique_ptr<BufferedWriter> writer;
@@ -57,6 +58,7 @@ Status GenerateRuns(core_internal::SortContext* ctx,
     if (writer == nullptr) return Status::OK();
     Status s = writer->Finish();
     const uint64_t bytes = writer->bytes_written();
+    const uint32_t crc = writer->crc32c();
     writer.reset();
     ALPHASORT_RETURN_IF_ERROR(s);
     if (!direct) {
@@ -64,6 +66,7 @@ Status GenerateRuns(core_internal::SortContext* ctx,
       run_file.reset();
       ALPHASORT_RETURN_IF_ERROR(close_status);
       runs->back().bytes = bytes;
+      runs->back().crc32c = crc;
       ctx->metrics->scratch_bytes_written += bytes;
       core_internal::ProgressSpilled(ctx, bytes);
     }
@@ -82,8 +85,8 @@ Status GenerateRuns(core_internal::SortContext* ctx,
       if (direct) {
         // The whole input fits the tournament: exactly one run, written
         // straight to the output (the paper's memory-rich OpenVMS sort).
-        writer = std::make_unique<BufferedWriter>(ctx->output, ctx->aio,
-                                                  opts.io_chunk_bytes);
+        writer = std::make_unique<BufferedWriter>(
+            ctx->output, ctx->aio, opts.io_chunk_bytes, opts.write_buffers);
       } else {
         const std::string path = ScratchRunPath(opts, 0, run);
         Result<std::unique_ptr<File>> f = core_internal::OpenScratchRun(
@@ -94,8 +97,9 @@ Status GenerateRuns(core_internal::SortContext* ctx,
         }
         run_file = std::move(f).value();
         runs->push_back(ScratchRun{path, 0});
-        writer = std::make_unique<BufferedWriter>(run_file.get(), ctx->aio,
-                                                  opts.io_chunk_bytes);
+        writer = std::make_unique<BufferedWriter>(
+            run_file.get(), ctx->aio, opts.io_chunk_bytes,
+            opts.write_buffers);
       }
     }
     Status s = writer->Append(record, fmt.record_size);
@@ -116,24 +120,15 @@ Status GenerateRuns(core_internal::SortContext* ctx,
                                       &ctx->metrics->quicksort_stats);
 
   // Chunked streaming read of the input: pull until the source ends.
-  std::vector<char> read_buf(
-      std::max<size_t>(r, opts.io_chunk_bytes / r * r));
-  uint64_t total = 0;
+  const uint64_t chunk_records =
+      std::max<uint64_t>(1, opts.io_chunk_bytes / r);
+  std::vector<char> read_buf(chunk_records * r);
   uint64_t filled = 0;  // slots used during the initial fill
-  for (;;) {
-    // Cancellation/deadline poll, once per read chunk.
-    ALPHASORT_RETURN_IF_ERROR(core_internal::CheckControl(ctx));
-    size_t got = 0;
-    ALPHASORT_RETURN_IF_ERROR(
-        ctx->source->Read(read_buf.data(), read_buf.size(), &got));
-    if (got == 0) break;
-    if (got % r != 0) {
-      return Status::Corruption(StrFormat(
-          "stream ended mid-record: %llu trailing bytes (record size %zu)",
-          static_cast<unsigned long long>(got % r), r));
-    }
-    core_internal::ProgressRead(ctx, got);
-    for (size_t pos = 0; pos < got; pos += r) {
+  for (bool eof = false; !eof;) {
+    uint64_t got = 0;
+    ALPHASORT_RETURN_IF_ERROR(core_internal::ReadRecords(
+        ctx, read_buf.data(), chunk_records, nullptr, &got, &eof));
+    for (uint64_t i = 0; i < got; ++i) {
       char* slot;
       if (filled < capacity) {
         slot = workspace.data() + filled * r;
@@ -141,18 +136,14 @@ Status GenerateRuns(core_internal::SortContext* ctx,
       } else {
         slot = workspace.data() + spare_slot * r;
       }
-      memcpy(slot, read_buf.data() + pos, r);
+      memcpy(slot, read_buf.data() + i * r, r);
       rs.Add(slot);
       ALPHASORT_RETURN_IF_ERROR(sink_error);
     }
-    total += got;
-    if (got < read_buf.size()) break;  // end of input
   }
   if (!ctx->size_known) {
-    ctx->input_bytes = total;
-    ctx->num_records = total / r;
-  } else if (total != ctx->input_bytes) {
-    return Status::Corruption("short read of input");
+    ctx->num_records = ctx->bytes_read / r;
+    ctx->input_bytes = ctx->num_records * r;
   }
   rs.Finish();
   ALPHASORT_RETURN_IF_ERROR(sink_error);
@@ -174,12 +165,7 @@ Status VmsBody(core_internal::SortContext* ctx) {
   ctx->metrics->read_phase_s = phase.Lap();
   ctx->metrics->num_runs =
       direct_to_output ? (ctx->num_records > 0 ? 1 : 0) : runs.size();
-  if (!s.ok()) {
-    for (const auto& run : runs) {
-      core_internal::RemoveScratchRun(ctx, run.path);
-    }
-    return s;
-  }
+  if (!s.ok()) return s;  // the sweeper removes spilled runs
 
   if (direct_to_output) {
     // The single run already streamed to the output: one pass, no merge.

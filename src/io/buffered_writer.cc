@@ -3,46 +3,60 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/checksum.h"
+
 namespace alphasort {
 
-BufferedWriter::BufferedWriter(File* file, AsyncIO* aio, size_t buffer_bytes)
-    : file_(file), aio_(aio), buffer_bytes_(std::max<size_t>(1, buffer_bytes)) {
-  buffers_[0].resize(buffer_bytes_);
-  buffers_[1].resize(buffer_bytes_);
+BufferedWriter::BufferedWriter(File* file, AsyncIO* aio, size_t buffer_bytes,
+                               int num_buffers)
+    : file_(file),
+      aio_(aio),
+      buffer_bytes_(std::max<size_t>(1, buffer_bytes)),
+      buffers_(static_cast<size_t>(std::max(2, num_buffers))) {
+  for (auto& b : buffers_) b.data.resize(buffer_bytes_);
 }
 
-BufferedWriter::~BufferedWriter() {
-  for (size_t b = 0; b < 2; ++b) {
-    if (in_flight_[b]) aio_->Wait(pending_[b]);
-  }
+BufferedWriter::~BufferedWriter() { Abort(); }
+
+Status BufferedWriter::Retire(Buffer* buf) {
+  if (!buf->in_flight) return Status::OK();
+  buf->in_flight = false;
+  return aio_->Wait(buf->pending);
 }
 
-Status BufferedWriter::FlushCurrent() {
-  if (fill_ == 0) return Status::OK();
-  pending_[which_] = aio_->SubmitWrite(file_, offset_,
-                                       buffers_[which_].data(), fill_);
-  in_flight_[which_] = true;
+Status BufferedWriter::Acquire(char** dst, size_t* room) {
+  Buffer& buf = buffers_[current_];
+  ALPHASORT_RETURN_IF_ERROR(Retire(&buf));
+  *dst = buf.data.data() + fill_;
+  *room = buffer_bytes_ - fill_;
+  return Status::OK();
+}
+
+void BufferedWriter::Seal(size_t n) {
+  fill_ += n;
+  if (fill_ == 0) return;
+  Buffer& buf = buffers_[current_];
+  crc_ = Crc32c(buf.data.data(), fill_, crc_);
+  buf.pending = aio_->SubmitWrite(file_, offset_, buf.data.data(), fill_);
+  buf.in_flight = true;
   offset_ += fill_;
   fill_ = 0;
-  which_ ^= 1;
-  // The buffer we are about to fill may still be draining from two
-  // flushes ago.
-  if (in_flight_[which_]) {
-    in_flight_[which_] = false;
-    ALPHASORT_RETURN_IF_ERROR(aio_->Wait(pending_[which_]));
-  }
-  return Status::OK();
+  current_ = (current_ + 1) % buffers_.size();
 }
 
 Status BufferedWriter::Append(const char* data, size_t n) {
   while (n > 0) {
-    const size_t take = std::min(n, buffer_bytes_ - fill_);
-    memcpy(buffers_[which_].data() + fill_, data, take);
-    fill_ += take;
+    char* dst = nullptr;
+    size_t room = 0;
+    ALPHASORT_RETURN_IF_ERROR(Acquire(&dst, &room));
+    const size_t take = std::min(n, room);
+    memcpy(dst, data, take);
     data += take;
     n -= take;
-    if (fill_ == buffer_bytes_) {
-      ALPHASORT_RETURN_IF_ERROR(FlushCurrent());
+    if (take == room) {
+      Seal(take);
+    } else {
+      fill_ += take;
     }
   }
   return Status::OK();
@@ -50,16 +64,18 @@ Status BufferedWriter::Append(const char* data, size_t n) {
 
 Status BufferedWriter::Finish() {
   if (finished_) return Status::OK();
-  Status first_error = FlushCurrent();
-  for (size_t b = 0; b < 2; ++b) {
-    if (in_flight_[b]) {
-      in_flight_[b] = false;
-      Status s = aio_->Wait(pending_[b]);
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-  }
   finished_ = true;
+  Status first_error;
+  Seal(0);
+  for (auto& b : buffers_) {
+    Status s = Retire(&b);
+    if (!s.ok() && first_error.ok()) first_error = s;
+  }
   return first_error;
+}
+
+void BufferedWriter::Abort() {
+  for (auto& b : buffers_) Retire(&b);
 }
 
 }  // namespace alphasort

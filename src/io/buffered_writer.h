@@ -10,42 +10,75 @@
 
 namespace alphasort {
 
-// Append-style writer with two buffers: while one buffer is being written
-// through the async scheduler, the other fills — the output half of the
-// paper's triple-buffering discipline, reusable by anything that streams
-// bytes out (run spilling, the VMS-sort baseline).
+// The output ring: `num_buffers` buffers cycling fill → seal → async
+// write → retire — the output half of the paper's multi-buffering
+// discipline (§6). Every sequential writer streams through it: the
+// in-memory merge's output, spilled runs, the scratch merge, the VMS-sort
+// runs and the public record writer. Bytes land at consecutive offsets
+// from 0, and a running CRC-32C covers them in submit order, which is
+// file order.
+//
+// Two ways to fill a buffer:
+//   Append(data, n)       copies bytes in, sealing each buffer as it fills;
+//   Acquire() + Seal(n)   hands out the current buffer's free space so the
+//                         caller gathers records straight into it, then
+//                         seals the `n` bytes it wrote.
+// A buffer's previous write is retired lazily, when the ring comes back
+// round to it, so up to `num_buffers` writes are in flight. After an
+// error the ring is dead; Abort() (and the destructor) waits out every
+// outstanding write so no IO outlives the buffers.
 class BufferedWriter {
  public:
-  // Buffers of `buffer_bytes` each. `file` must outlive the writer.
-  BufferedWriter(File* file, AsyncIO* aio, size_t buffer_bytes);
+  // `num_buffers` (at least 2) buffers of `buffer_bytes` each. `file`
+  // must outlive the writer.
+  BufferedWriter(File* file, AsyncIO* aio, size_t buffer_bytes,
+                 int num_buffers = 2);
 
-  // Waits out any in-flight write (Finish() reports errors; the
-  // destructor only guarantees no dangling IO).
+  // Abort(): waits out in-flight writes without reporting them.
   ~BufferedWriter();
 
   BufferedWriter(const BufferedWriter&) = delete;
   BufferedWriter& operator=(const BufferedWriter&) = delete;
 
-  // Appends `n` bytes; may trigger an asynchronous flush.
+  // Appends `n` bytes; may submit writes and retire earlier ones.
   Status Append(const char* data, size_t n);
 
-  // Flushes the tail and waits for all writes. Idempotent.
+  // Points `*dst` at the current buffer's free space (`*room` bytes),
+  // retiring that buffer's previous write first.
+  Status Acquire(char** dst, size_t* room);
+
+  // Marks `n` bytes of the acquired space filled and submits the buffer.
+  void Seal(size_t n);
+
+  // Submits the partial tail and retires every write; returns the first
+  // error. Idempotent.
   Status Finish();
 
+  // Waits out every in-flight write, discarding its status.
+  void Abort();
+
   uint64_t bytes_written() const { return offset_ + fill_; }
+  // CRC-32C of the bytes submitted so far.
+  uint32_t crc32c() const { return crc_; }
+  size_t buffer_bytes() const { return buffer_bytes_; }
 
  private:
-  Status FlushCurrent();
+  struct Buffer {
+    std::vector<char> data;
+    AsyncIO::Handle pending = 0;
+    bool in_flight = false;
+  };
+
+  Status Retire(Buffer* buf);
 
   File* file_;
   AsyncIO* aio_;
   size_t buffer_bytes_;
-  std::vector<char> buffers_[2];
-  bool in_flight_[2] = {false, false};
-  AsyncIO::Handle pending_[2] = {0, 0};
-  size_t which_ = 0;
+  std::vector<Buffer> buffers_;
+  size_t current_ = 0;
   size_t fill_ = 0;       // bytes in the current buffer
   uint64_t offset_ = 0;   // file offset of the current buffer's start
+  uint32_t crc_ = 0;
   bool finished_ = false;
 };
 

@@ -43,7 +43,7 @@ struct SortThroughput {
 struct SortMetrics {
   double startup_s = 0;      // opens, output creation, planning
   double read_phase_s = 0;   // striped read overlapped with QuickSorts
-  double last_run_s = 0;     // final QuickSort after EOF
+  double last_run_s = 0;     // final QuickSort (and spill) after EOF
   double merge_phase_s = 0;  // merge + gather + striped write
   double close_s = 0;        // closes and cleanup
   double total_s = 0;

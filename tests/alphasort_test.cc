@@ -1,11 +1,13 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "benchlib/datamation.h"
 #include "core/alphasort.h"
+#include "core/vms_sort.h"
 #include "io/fault_env.h"
 #include "io/stripe.h"
 #include "tests/test_util.h"
@@ -423,6 +425,47 @@ TEST(AlphaSortTest, TwoPassSurfacesScratchFaults) {
   fenv.FailAfter(40);  // lands in the spill/merge machinery
   Status s = AlphaSort::Run(&fenv, e2e.opts, &e2e.metrics);
   EXPECT_FALSE(s.ok());
+}
+
+// The VMS-sort baseline's replacement-selection runs carry the output
+// ring's CRC-32C as well, so a byte flipped on a scratch write surfaces
+// as Status::Corruption when the merge reads the run back.
+TEST(AlphaSortTest, VmsScratchRunsAreChecksummed) {
+  auto mem = NewMemEnv();
+  FaultInjectionEnv fenv(mem.get());
+  InputSpec spec;
+  spec.path = "in.dat";
+  spec.num_records = 5000;
+  spec.seed = 1618;
+  ASSERT_TRUE(CreateInputFile(&fenv, spec).ok());
+  SortOptions opts;
+  opts.input_path = "in.dat";
+  opts.output_path = "out.dat";
+  opts.scratch_path = "vscratch";
+  opts.memory_budget = 64 * 1024;  // a 327-record tournament: many runs
+  opts.io_chunk_bytes = 8 * 1024;
+
+  SortMetrics clean;
+  ASSERT_TRUE(VmsSort::Run(&fenv, opts, &clean).ok());
+  EXPECT_EQ(clean.passes, 2);
+  EXPECT_GT(clean.num_runs, 1u);
+  EXPECT_GE(clean.runs_checksum_verified, clean.num_runs);
+
+  FaultPlan plan;
+  plan.seed = 2718;
+  FaultSpec corrupting;
+  corrupting.corrupt_write_prob = 1;  // every scratch write flips a byte
+  plan.overrides.emplace_back("vscratch.l", corrupting);
+  fenv.SetPlan(plan);
+  SortMetrics metrics;
+  Status s = VmsSort::Run(&fenv, opts, &metrics);
+  fenv.SetPlan(FaultPlan{});
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_GT(fenv.corrupt_writes_injected(), 0u);
+
+  std::vector<std::string> stray;
+  ASSERT_TRUE(mem->ListFiles("vscratch", &stray).ok());
+  EXPECT_TRUE(stray.empty()) << stray[0];
 }
 
 TEST(AlphaSortTest, CustomRecordFormats) {
