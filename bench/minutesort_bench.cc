@@ -10,7 +10,7 @@
 #include "benchlib/minutesort.h"
 #include "common/table.h"
 #include "core/alphasort.h"
-#include "core/sort_metrics.h"
+#include "obs/sort_metrics.h"
 
 using namespace alphasort;
 

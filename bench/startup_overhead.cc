@@ -7,9 +7,9 @@
 #include <string>
 
 #include "common/table.h"
-#include "core/sort_metrics.h"
 #include "io/async_io.h"
 #include "io/stripe.h"
+#include "obs/sort_metrics.h"
 
 using namespace alphasort;
 

@@ -203,12 +203,12 @@ int main(int argc, char** argv) {
 
   SortMetrics metrics;
   Status s;
-  // A Sorter job brackets the registry itself; the merge and vms paths
-  // need the same per-run delta taken here so --metrics and --report
-  // describe this run, not the whole process history.
+  // A Sorter job (the vms path runs one too) brackets the registry
+  // itself; the merge path needs the same per-run delta taken here so
+  // --metrics and --report describe this run, not the whole process
+  // history.
   obs::RegistrySnapshot registry_before;
-  const bool external_delta = args.merge || args.algorithm == "vms";
-  if (external_delta) {
+  if (args.merge) {
     registry_before = obs::MetricsRegistry::Global()->Snapshot();
   }
   if (args.merge) {
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     s = result.status;
     metrics = result.metrics;
   }
-  if (external_delta) {
+  if (args.merge) {
     metrics.registry_delta =
         obs::MetricsRegistry::Global()->Snapshot().DeltaSince(
             registry_before);

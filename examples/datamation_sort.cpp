@@ -16,9 +16,9 @@
 
 #include "benchlib/datamation.h"
 #include "core/alphasort.h"
-#include "core/sort_metrics.h"
 #include "core/sorter.h"
 #include "io/stripe.h"
+#include "obs/sort_metrics.h"
 #include "sim/cost_model.h"
 
 using namespace alphasort;

@@ -170,6 +170,16 @@ stage_smokes() {
   # breakdown summing to the total, IO percentiles, registry delta, and
   # hardware counters populated or explicitly unavailable.
   ./build/examples/report_lint ci-artifacts/report.json
+  # A non-default pass body gets the same phase stages from the shared
+  # phase clock: a traced two-pass replacement-selection (vms) sort must
+  # show its read and merge phases, and its report must lint.
+  ./build/examples/asort --mem --gen-records 300000 --memory-mb 8 \
+    --algorithm vms --in smoke_vms_in.dat --out smoke_vms_out.dat \
+    --trace=ci-artifacts/trace_vms.json \
+    --report=ci-artifacts/report_vms.json --verify
+  ./build/examples/trace_lint ci-artifacts/trace_vms.json \
+    --require read_phase --require merge_phase --require-job sort.run
+  ./build/examples/report_lint ci-artifacts/report_vms.json
 
   echo
   echo "=== service smoke: 4 concurrent jobs + a cancel under one budget ==="

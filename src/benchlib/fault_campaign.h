@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "core/sort_metrics.h"
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "obs/sort_metrics.h"
 
 namespace alphasort {
 

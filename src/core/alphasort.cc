@@ -1,7 +1,5 @@
 #include "core/alphasort.h"
 
-#include <optional>
-
 #include "common/table.h"
 #include "core/pipeline_internal.h"
 #include "core/sorter.h"
@@ -34,6 +32,147 @@ IoLatencyStats Summarize(uint64_t ops, uint64_t bytes,
 
 namespace core_internal {
 
+namespace {
+
+// The SortMetrics lap and the stage each phase of the clock owns; null
+// for the phases outside a sort's run (queued, done, failed).
+struct PhaseSlot {
+  double SortMetrics::*lap;
+  const char* stage;
+};
+
+PhaseSlot SlotOf(obs::SortPhase phase) {
+  switch (phase) {
+    case obs::SortPhase::kStartup:
+      return {&SortMetrics::startup_s, "sort.startup"};
+    case obs::SortPhase::kRead:
+      return {&SortMetrics::read_phase_s, "sort.read_phase"};
+    case obs::SortPhase::kLastRun:
+      return {&SortMetrics::last_run_s, "sort.last_run"};
+    case obs::SortPhase::kMerge:
+      return {&SortMetrics::merge_phase_s, "sort.merge_phase"};
+    case obs::SortPhase::kClose:
+      return {&SortMetrics::close_s, "sort.close"};
+    default:
+      return {nullptr, nullptr};
+  }
+}
+
+// Startup, the pass body and close: builds and opens the source, creates
+// the output, plans the passes, runs `body` (RunPasses when empty) and
+// closes both ends whatever happened, returning the first error.
+Status OpenRunClose(SortContext* ctx, const PipelineBody& body) {
+  const SortOptions& options = *ctx->options;
+  SortMetrics* metrics = ctx->metrics;
+  ctx->EnterPhase(obs::SortPhase::kStartup);
+
+  // Build and open the input source, and create the output, members in
+  // parallel (§6). `input_path` is sugar for a FileRecordSource shaped by
+  // the options' IO knobs; the factory covers everything else (mmap,
+  // memory, generated, live streams).
+  std::shared_ptr<RecordSource> source;
+  if (options.source) {
+    source = options.source();
+    if (source == nullptr) {
+      return Status::InvalidArgument("source factory returned nullptr");
+    }
+  } else {
+    source = std::make_shared<FileRecordSource>(
+        options.input_path, options.io_chunk_bytes, options.io_depth);
+  }
+  ALPHASORT_RETURN_IF_ERROR(source->Open(ctx->env, ctx->aio));
+  Result<std::unique_ptr<StripeFile>> output = StripeFile::Open(
+      ctx->env, options.output_path, OpenMode::kCreateReadWrite, ctx->aio);
+  if (!output.ok()) {
+    source->Close();
+    return output.status();
+  }
+  ctx->source = source.get();
+  ctx->output = output.value().get();
+
+  uint64_t total = 0;
+  ctx->size_known = source->TotalBytes(&total);
+  if (ctx->size_known) {
+    if (total % options.format.record_size != 0) {
+      source->Close();
+      output.value()->Close();
+      return Status::InvalidArgument(StrFormat(
+          "input size %llu is not a multiple of the record size %zu",
+          static_cast<unsigned long long>(total),
+          options.format.record_size));
+    }
+    ctx->input_bytes = total;
+    ctx->num_records = total / options.format.record_size;
+  }
+  metrics->bytes_in = ctx->input_bytes;
+  metrics->num_records = ctx->num_records;
+
+  // One pass if the records plus their entries fit in the budget (§6:
+  // "the Datamation sort benchmark should be done in one pass"). The plan
+  // only sizes the first ingest block: the whole input for one pass, a
+  // spill block for two. Sources with unknown totals (live streams) start
+  // optimistic with the full budget and spill only if the stream outgrows
+  // it; RunPasses sets the real plan at end of input.
+  if (ctx->size_known) {
+    const uint64_t entry_bytes =
+        ctx->num_records * SortOptions::kEntryOverheadBytes;
+    const bool fits = ctx->input_bytes + entry_bytes <= options.memory_budget;
+    const bool one_pass =
+        options.force_passes == 1 || (options.force_passes == 0 && fits);
+    metrics->passes = one_pass ? 1 : 2;
+    ctx->first_block_records =
+        one_pass ? ctx->num_records
+                 : std::min(ctx->num_records, SpillBlockRecords(options));
+    if (ctx->progress != nullptr) {
+      ctx->progress->SetPlan(ctx->input_bytes, metrics->passes);
+    }
+  } else {
+    ctx->first_block_records = std::max<uint64_t>(
+        options.run_size_records,
+        options.memory_budget /
+            (options.format.record_size + SortOptions::kEntryOverheadBytes));
+    if (ctx->progress != nullptr) {
+      ctx->progress->SetPlanUnknown(/*passes_hint=*/1);
+    }
+  }
+  ALPHASORT_LOG(kDebug, "sort.plan")
+      .Str("source", source->name())
+      .U64("bytes", ctx->input_bytes)
+      .U64("records", ctx->num_records)
+      .I64("passes", metrics->passes);
+
+  Status status = CheckControl(ctx);
+  if (status.ok()) status = body ? body(ctx) : RunPasses(ctx);
+  // Custom bodies and streamed inputs discover (or refine) the input
+  // shape themselves; re-read it from the context either way.
+  metrics->bytes_in = ctx->input_bytes;
+  metrics->num_records = ctx->num_records;
+
+  // Close both ends whatever happened; the first error wins.
+  ctx->EnterPhase(obs::SortPhase::kClose);
+  Status source_closed = source->Close();
+  Status output_closed = output.value()->Close();
+  if (status.ok()) status = source_closed;
+  if (status.ok()) status = output_closed;
+  if (status.ok()) metrics->bytes_out = ctx->input_bytes;
+  return status;
+}
+
+}  // namespace
+
+void SortContext::EnterPhase(obs::SortPhase next) {
+  const double lap = phase_timer_.Lap();
+  if (double SortMetrics::*field = SlotOf(phase_).lap) metrics->*field += lap;
+  phase_stage_.reset();
+  phase_ = next;
+  if (const char* stage = SlotOf(next).stage) {
+    phase_stage_.emplace(&perf, stage);
+  }
+  if (progress != nullptr && next != obs::SortPhase::kDone) {
+    progress->SetPhase(next);
+  }
+}
+
 Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
                        ChorePool* pool, const SortControl* control,
                        SortMetrics* metrics, uint64_t job_id,
@@ -44,43 +183,10 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   if (metrics == nullptr) metrics = &local_metrics;
   *metrics = SortMetrics();
 
-  PhaseTimer total_timer;
-  PhaseTimer phase;
-  obs::TraceSpan run_span("sort.run");
-
-  // Observability brackets. The registry snapshot scopes the process
-  // global counters to this run (back-to-back sorts each report their
-  // own delta); the perf accumulator collects hardware counters from
-  // every ScopedPerfRegion the pipeline enters. TryInstall can lose to
-  // a concurrent sort in the same process — that sort keeps collecting,
-  // this one reports attempted=false. Declaration order matters:
-  // total_perf must die before perf_acc, and perf_acc's destructor
-  // uninstalls itself so the early error returns below cannot leave a
-  // dangling global.
-  obs::RegistrySnapshot registry_before;
-  if (options.collect_registry_delta) {
-    registry_before = obs::MetricsRegistry::Global()->Snapshot();
-  }
-  std::optional<obs::PerfAccumulator> perf_acc;
-  if (options.collect_perf_counters) {
-    perf_acc.emplace();
-    if (!perf_acc->TryInstall()) perf_acc.reset();
-  }
-  std::optional<obs::ScopedPerfRegion> total_perf;
-  if (perf_acc) total_perf.emplace("total");
-  auto finish_observability = [&] {
-    total_perf.reset();
-    if (perf_acc) {
-      perf_acc->Uninstall();
-      metrics->perf.attempted = true;
-      metrics->perf.regions = perf_acc->Regions();
-    }
-    if (options.collect_registry_delta) {
-      metrics->registry_delta =
-          obs::MetricsRegistry::Global()->Snapshot().DeltaSince(
-              registry_before);
-    }
-  };
+  // The registry snapshot scopes the process-global counters to this
+  // run: back-to-back sorts each report their own delta.
+  const obs::RegistrySnapshot registry_before =
+      obs::MetricsRegistry::Global()->Snapshot();
 
   // Env wrapping per the canonical EnvStack order: metrics above the
   // caller's env so every physical attempt is timed individually, retry
@@ -88,61 +194,13 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   EnvStack stack(env);
   if (options.collect_io_metrics) stack.PushMetrics();
   if (options.retry_policy.enabled()) stack.PushRetry(options.retry_policy);
-  env = stack.top();
-  // Every exit from here on reports the retry counters, the IO-latency
-  // summaries and the observability brackets, success or not.
-  auto finish = [&](Status status) {
-    metrics->total_s = total_timer.Lap();
-    if (stack.retry() != nullptr) {
-      const RetryStats rs = stack.retry()->stats();
-      metrics->io_retries = rs.retries;
-      metrics->io_retries_recovered = rs.ops_recovered;
-      metrics->io_retries_exhausted = rs.ops_exhausted;
-    }
-    if (stack.metrics() != nullptr) {
-      const obs::IoModeSnapshot io = stack.metrics()->Snapshot().Total();
-      metrics->read_io = Summarize(io.reads, io.read_bytes,
-                                   io.read_latency_us);
-      metrics->write_io = Summarize(io.writes, io.write_bytes,
-                                    io.write_latency_us);
-    }
-    finish_observability();
-    return status;
-  };
 
-  // Build and open the input source, and create the output, members in
-  // parallel (§6). `input_path` is sugar for a FileRecordSource shaped by
-  // the options' IO knobs; the factory covers everything else (mmap,
-  // memory, generated, live streams).
-  std::optional<obs::TraceSpan> startup_span;
-  startup_span.emplace("sort.startup");
-  std::shared_ptr<RecordSource> source;
-  if (options.source) {
-    source = options.source();
-    if (source == nullptr) {
-      return finish(
-          Status::InvalidArgument("source factory returned nullptr"));
-    }
-  } else {
-    source = std::make_shared<FileRecordSource>(
-        options.input_path, options.io_chunk_bytes, options.io_depth);
-  }
-  if (Status s = source->Open(env, aio); !s.ok()) return finish(s);
-  Result<std::unique_ptr<StripeFile>> output = StripeFile::Open(
-      env, options.output_path, OpenMode::kCreateReadWrite, aio);
-  if (!output.ok()) {
-    source->Close();
-    return finish(output.status());
-  }
-
-  core_internal::SortContext ctx;
-  ctx.env = env;
+  SortContext ctx;
+  ctx.env = stack.top();
   ctx.options = &options;
   ctx.metrics = metrics;
   ctx.aio = aio;
   ctx.pool = pool;
-  ctx.source = source.get();
-  ctx.output = output.value().get();
   ctx.control = control;
   ctx.job_id = job_id;
   // The ambient trace id was established by the caller (ExecuteJob's
@@ -151,78 +209,36 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   ctx.trace_id = obs::CurrentTraceId();
   ctx.progress = progress;
 
-  uint64_t total = 0;
-  ctx.size_known = source->TotalBytes(&total);
-  if (ctx.size_known) {
-    if (total % options.format.record_size != 0) {
-      source->Close();
-      output.value()->Close();
-      return finish(Status::InvalidArgument(StrFormat(
-          "input size %llu is not a multiple of the record size %zu",
-          static_cast<unsigned long long>(total),
-          options.format.record_size)));
-    }
-    ctx.input_bytes = total;
-    ctx.num_records = total / options.format.record_size;
-  }
-
-  metrics->bytes_in = ctx.input_bytes;
-  metrics->num_records = ctx.num_records;
-  metrics->startup_s = phase.Lap();
-  startup_span.reset();
-
-  // One pass if the records plus their entries fit in the budget (§6:
-  // "the Datamation sort benchmark should be done in one pass"). The plan
-  // only sizes the first ingest block: the whole input for one pass, a
-  // spill block for two. Sources with unknown totals (live streams) start
-  // optimistic with the full budget and spill only if the stream outgrows
-  // it; RunPasses sets the real plan at end of input.
-  if (ctx.size_known) {
-    const uint64_t entry_bytes =
-        ctx.num_records * SortOptions::kEntryOverheadBytes;
-    const bool fits = ctx.input_bytes + entry_bytes <= options.memory_budget;
-    const bool one_pass =
-        options.force_passes == 1 || (options.force_passes == 0 && fits);
-    metrics->passes = one_pass ? 1 : 2;
-    ctx.first_block_records =
-        one_pass ? ctx.num_records
-                 : std::min(ctx.num_records, SpillBlockRecords(options));
-    if (progress != nullptr) {
-      progress->SetPlan(ctx.input_bytes, metrics->passes);
-    }
-  } else {
-    ctx.first_block_records = std::max<uint64_t>(
-        options.run_size_records,
-        options.memory_budget /
-            (options.format.record_size + SortOptions::kEntryOverheadBytes));
-    if (progress != nullptr) progress->SetPlanUnknown(/*passes_hint=*/1);
-  }
-  ALPHASORT_LOG(kDebug, "sort.plan")
-      .Str("source", source->name())
-      .U64("bytes", ctx.input_bytes)
-      .U64("records", ctx.num_records)
-      .I64("passes", metrics->passes);
-
-  Status status = CheckControl(&ctx);
-  if (status.ok()) status = body ? body(&ctx) : RunPasses(&ctx);
-  // Custom bodies and streamed inputs discover (or refine) the input
-  // shape themselves; re-read it from the context either way.
-  metrics->bytes_in = ctx.input_bytes;
-  metrics->num_records = ctx.num_records;
-
-  // Close both ends whatever happened; the first error wins.
-  phase.Lap();
-  if (status.ok()) ProgressPhase(&ctx, obs::SortPhase::kClose);
+  Status status;
   {
-    obs::TraceSpan close_span("sort.close");
-    Status source_closed = source->Close();
-    Status output_closed = output.value()->Close();
-    if (status.ok()) status = source_closed;
-    if (status.ok()) status = output_closed;
+    obs::Stage run_stage(&ctx.perf, "sort.run");
+    // Started and read right beside the phase clock's first and last
+    // laps, so total_s and PhaseSum() cover the same interval.
+    PhaseTimer total_timer;
+    status = OpenRunClose(&ctx, body);
+    ctx.EnterPhase(obs::SortPhase::kDone);
+    metrics->total_s = total_timer.Lap();
   }
-  metrics->close_s = phase.Lap();
-  if (status.ok()) metrics->bytes_out = ctx.input_bytes;
-  return finish(status);
+  // Every exit reports the retry counters, the IO-latency summaries and
+  // the observability brackets, success or not.
+  if (stack.retry() != nullptr) {
+    const RetryStats rs = stack.retry()->stats();
+    metrics->io_retries = rs.retries;
+    metrics->io_retries_recovered = rs.ops_recovered;
+    metrics->io_retries_exhausted = rs.ops_exhausted;
+  }
+  if (stack.metrics() != nullptr) {
+    const obs::IoModeSnapshot io = stack.metrics()->Snapshot().Total();
+    metrics->read_io = Summarize(io.reads, io.read_bytes,
+                                 io.read_latency_us);
+    metrics->write_io = Summarize(io.writes, io.write_bytes,
+                                  io.write_latency_us);
+  }
+  metrics->perf.attempted = true;
+  metrics->perf.regions = ctx.perf.Regions();
+  metrics->registry_delta =
+      obs::MetricsRegistry::Global()->Snapshot().DeltaSince(registry_before);
+  return status;
 }
 
 }  // namespace core_internal

@@ -2,8 +2,8 @@
 #define ALPHASORT_CORE_ALPHASORT_H_
 
 #include "core/options.h"
-#include "core/sort_metrics.h"
 #include "io/env.h"
+#include "obs/sort_metrics.h"
 
 // Deprecation attribute for the legacy one-shot entry points, opt-in so
 // existing builds stay warning-clean: define ALPHASORT_STRICT_DEPRECATION

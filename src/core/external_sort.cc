@@ -8,8 +8,7 @@
 #include "core/pipeline_internal.h"
 #include "core/run_reader.h"
 #include "obs/perf_counters.h"
-#include "obs/trace.h"
-#include "sort/quicksort.h"
+#include "sort/merger.h"
 #include "sort/tournament_tree.h"
 
 namespace alphasort {
@@ -98,26 +97,11 @@ Status MergeScratchRunsToWriter(SortContext* ctx,
     ALPHASORT_RETURN_IF_ERROR(readers[r]->Init());
   }
 
-  struct Item {
-    uint64_t prefix;
-    const char* record;
-  };
-  struct ItemLess {
-    RecordFormat format;
-    SortStats* stats;
-    bool operator()(const Item& a, const Item& b) const {
-      ++stats->compares;
-      if (a.prefix != b.prefix) return a.prefix < b.prefix;
-      if (format.key_size <= 8) return false;
-      ++stats->tie_breaks;
-      return format.CompareKeys(a.record, b.record) < 0;
-    }
-  };
-  LoserTree<Item, ItemLess> tree(
-      k == 0 ? 1 : k, ItemLess{fmt, &ctx->metrics->merge_stats});
+  LoserTree<PrefixEntry, CountingEntryLess> tree(
+      k == 0 ? 1 : k, CountingEntryLess{fmt, &ctx->metrics->merge_stats});
   for (size_t r = 0; r < k; ++r) {
     if (const char* rec = readers[r]->Current()) {
-      tree.SetLeaf(r, Item{fmt.KeyPrefix(rec), rec});
+      tree.SetLeaf(r, MakePrefixEntry(fmt, rec));
     }
   }
   tree.Rebuild();
@@ -136,15 +120,14 @@ Status MergeScratchRunsToWriter(SortContext* ctx,
     char* buf = nullptr;
     size_t room = 0;
     {
-      // Output seal step, kept out of the "merge" region so that region
-      // stays a pure tournament measurement (docs/perf.md).
-      obs::ScopedPerfRegion perf("merge.seal");
+      // Output seal step, kept out of the "merge.batch" stage so that
+      // stage stays a pure tournament measurement (docs/perf.md).
+      obs::Stage stage(&ctx->perf, "merge.seal", "io");
       if (Status s = out->Acquire(&buf, &room); !s.ok()) return abandon(s);
     }
     size_t fill = 0;
     {
-      obs::TraceSpan span("merge.batch", "cpu");
-      obs::ScopedPerfRegion perf("merge");
+      obs::Stage stage(&ctx->perf, "merge.batch", "cpu");
       while (fill < room && !tree.Empty()) {
         const size_t r = tree.WinnerStream();
         memcpy(buf + fill, tree.WinnerItem().record, fmt.record_size);
@@ -152,15 +135,14 @@ Status MergeScratchRunsToWriter(SortContext* ctx,
         Status s = readers[r]->Advance();
         if (!s.ok()) return abandon(s);
         if (const char* rec = readers[r]->Current()) {
-          tree.ReplaceWinner(Item{fmt.KeyPrefix(rec), rec});
+          tree.ReplaceWinner(MakePrefixEntry(fmt, rec));
         } else {
           tree.ExhaustWinner();
         }
       }
     }
     {
-      obs::TraceSpan span("merge.seal", "io");
-      obs::ScopedPerfRegion perf("merge.seal");
+      obs::Stage stage(&ctx->perf, "merge.seal", "io");
       out->Seal(fill);
     }
     // Cascade levels also land here, so merged bytes can exceed the plan

@@ -8,25 +8,15 @@
 
 #include "common/table.h"
 #include "core/pipeline_internal.h"
-#include "core/sort_metrics.h"
 #include "core/sorter.h"
 #include "io/stripe.h"
+#include "sort/merge_partition.h"
 #include "sort/merger.h"
 #include "sort/quicksort.h"
 
 namespace alphasort {
 
 namespace {
-
-// Full-key strict-weak-order over prefix entries (prefix fast path).
-struct EntryFullLess {
-  RecordFormat fmt;
-  bool operator()(const PrefixEntry& a, const PrefixEntry& b) const {
-    if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    if (fmt.key_size <= 8) return false;
-    return fmt.CompareKeys(a.record, b.record) < 0;
-  }
-};
 
 // The sample-sort pass structure, run inside the shared RunSortPipeline
 // harness. Needs the whole input resident and evenly divided up front,
@@ -45,11 +35,10 @@ Status HypercubeBody(core_internal::SortContext* ctx,
   const uint64_t n = ctx->num_records;
   metrics->num_records = n;
   ctx->metrics->passes = 1;
-  PhaseTimer phase;
 
   // --- read: in the original each node reads its own disk; here the
   // input is streamed once into shared memory and divided evenly.
-  core_internal::ProgressPhase(ctx, obs::SortPhase::kRead);
+  ctx->EnterPhase(obs::SortPhase::kRead);
   std::unique_ptr<char[]> records(new char[bytes]);
   {
     uint64_t got = 0;
@@ -57,8 +46,8 @@ Status HypercubeBody(core_internal::SortContext* ctx,
     ALPHASORT_RETURN_IF_ERROR(core_internal::ReadRecords(
         ctx, records.get(), n, nullptr, &got, &eof));
   }
-  metrics->read_s = phase.Lap();
-  ctx->metrics->read_phase_s = metrics->read_s;
+  ctx->EnterPhase(obs::SortPhase::kMerge);
+  metrics->read_s = ctx->metrics->read_phase_s;
 
   // Per-node state.
   std::vector<uint64_t> node_begin(P + 1);
@@ -73,7 +62,7 @@ Status HypercubeBody(core_internal::SortContext* ctx,
   std::vector<Status> node_status(P);
   std::vector<double> sort_s(P, 0), merge_s(P, 0);
 
-  const EntryFullLess less{fmt};
+  const EntryKeyLess less{&fmt};
   std::barrier barrier(static_cast<ptrdiff_t>(P));
 
   auto node_main = [&](size_t me) {
@@ -170,7 +159,6 @@ Status HypercubeBody(core_internal::SortContext* ctx,
     merge_s[me] = node_phase.Lap();
   };
 
-  core_internal::ProgressPhase(ctx, obs::SortPhase::kMerge);
   std::vector<std::thread> threads;
   threads.reserve(P);
   for (size_t i = 0; i < P; ++i) threads.emplace_back(node_main, i);
@@ -180,7 +168,6 @@ Status HypercubeBody(core_internal::SortContext* ctx,
   metrics->local_sort_s = *std::max_element(sort_s.begin(), sort_s.end());
   metrics->merge_write_s =
       *std::max_element(merge_s.begin(), merge_s.end());
-  ctx->metrics->merge_phase_s = phase.Lap();
 
   return ctx->output->Truncate(bytes);
 }
@@ -200,7 +187,6 @@ Status HypercubeSort::Run(Env* env, const SortOptions& options,
   // Thin shim: the sample-sort body inside the one shared pipeline
   // harness, via a transient Sorter sized from the options. Wait() below
   // keeps every by-reference capture alive for the job's duration.
-  PhaseTimer total_timer;
   HypercubeMetrics* out = metrics;
   auto body = [out, hyper](core_internal::SortContext* ctx) {
     return HypercubeBody(ctx, hyper, out);
@@ -212,7 +198,8 @@ Status HypercubeSort::Run(Env* env, const SortOptions& options,
   Sorter sorter(env, resources);
   SortJob job = sorter.Start(options, body);
   const SortResult& result = job.Wait();
-  if (result.status.ok()) metrics->total_s = total_timer.Lap();
+  metrics->sort = result.metrics;
+  if (result.status.ok()) metrics->total_s = result.metrics.total_s;
   return result.status;
 }
 

@@ -2,8 +2,8 @@
 #define ALPHASORT_CORE_HYPERCUBE_SORT_H_
 
 #include "core/options.h"
-#include "core/sort_metrics.h"
 #include "io/env.h"
+#include "obs/sort_metrics.h"
 
 namespace alphasort {
 
@@ -41,6 +41,9 @@ struct HypercubeMetrics {
   uint64_t num_records = 0;
   // Partition balance: largest node partition over the ideal n/P.
   double max_skew = 0;
+  // The shared pipeline harness's view of the run: phase laps, IO,
+  // hardware-counter stages.
+  SortMetrics sort;
 };
 
 class HypercubeSort {

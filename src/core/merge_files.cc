@@ -8,7 +8,7 @@
 #include "io/async_io.h"
 #include "io/buffered_writer.h"
 #include "io/stripe.h"
-#include "sort/quicksort.h"
+#include "sort/merger.h"
 #include "sort/tournament_tree.h"
 
 namespace alphasort {
@@ -59,26 +59,11 @@ Status MergeSortedFiles(Env* env, const std::vector<std::string>& inputs,
   metrics->num_runs = k;
   metrics->passes = 1;
 
-  struct Item {
-    uint64_t prefix;
-    const char* record;
-  };
-  struct ItemLess {
-    RecordFormat format;
-    SortStats* stats;
-    bool operator()(const Item& a, const Item& b) const {
-      ++stats->compares;
-      if (a.prefix != b.prefix) return a.prefix < b.prefix;
-      if (format.key_size <= 8) return false;
-      ++stats->tie_breaks;
-      return format.CompareKeys(a.record, b.record) < 0;
-    }
-  };
-  LoserTree<Item, ItemLess> tree(
-      k == 0 ? 1 : k, ItemLess{fmt, &metrics->merge_stats});
+  LoserTree<PrefixEntry, CountingEntryLess> tree(
+      k == 0 ? 1 : k, CountingEntryLess{fmt, &metrics->merge_stats});
   for (size_t r = 0; r < k; ++r) {
     if (const char* rec = readers[r]->Current()) {
-      tree.SetLeaf(r, Item{fmt.KeyPrefix(rec), rec});
+      tree.SetLeaf(r, MakePrefixEntry(fmt, rec));
     }
   }
   tree.Rebuild();
@@ -104,7 +89,7 @@ Status MergeSortedFiles(Env* env, const std::vector<std::string>& inputs,
     ++emitted;
     ALPHASORT_RETURN_IF_ERROR(readers[r]->Advance());
     if (const char* next = readers[r]->Current()) {
-      tree.ReplaceWinner(Item{fmt.KeyPrefix(next), next});
+      tree.ReplaceWinner(MakePrefixEntry(fmt, next));
     } else {
       tree.ExhaustWinner();
     }

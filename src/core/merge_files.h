@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "core/options.h"
-#include "core/sort_metrics.h"
 #include "io/env.h"
+#include "obs/sort_metrics.h"
 
 namespace alphasort {
 

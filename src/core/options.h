@@ -112,18 +112,6 @@ struct SortOptions {
   // to the request itself — and never touches the compare path.
   bool collect_io_metrics = true;
 
-  // Sample hardware counters (cycles, instructions, cache refs/misses,
-  // branch misses) per pipeline region via perf_event_open and report
-  // them in SortMetrics::perf — the data behind the paper's Figure 4
-  // cache-miss argument. Free when the syscall is denied (containers,
-  // perf_event_paranoid): the report just marks the counters unavailable.
-  bool collect_perf_counters = true;
-
-  // Bracket the run with obs::MetricsRegistry snapshots and store the
-  // delta in SortMetrics::registry_delta, so back-to-back sorts in one
-  // process each report only their own registry traffic.
-  bool collect_registry_delta = true;
-
   // Ways to split the merge phase's key space across workers (paper §5:
   // the root subdivides the merge so every processor drives its own
   // tournament). -1 = auto (num_workers + 1 ranges — one more range than

@@ -2,7 +2,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 
 #include "common/checksum.h"
 #include "common/table.h"
@@ -32,8 +31,7 @@ void ParallelGather(SortContext* ctx, const char* const* ptrs, size_t n,
     const size_t lo = s * per_slice;
     const size_t hi = std::min(n, lo + per_slice);
     if (lo < hi) {
-      obs::TraceSpan span("gather.slice", "cpu");
-      obs::ScopedPerfRegion perf("gather");
+      obs::Stage stage(&ctx->perf, "gather.slice", "cpu");
       GatherRecords(fmt, ptrs + lo, hi - lo, out + lo * fmt.record_size,
                     prefetch);
     }
@@ -157,7 +155,7 @@ Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
       obs::ScopedJobId job_scope(ctx->job_id);
       obs::ScopedTraceId trace_scope(ctx->trace_id);
       const MergeRange& range = partition.ranges[r];
-      obs::TraceSpan range_span("merge.range", "cpu");
+      obs::Stage range_stage(&ctx->perf, "merge.range", "cpu");
       SortStats stats;
       RunMerger<> merger(fmt, range.runs, TreeLayout::kFlat, nullptr,
                          &stats, opts.merge_prefetch);
@@ -176,13 +174,11 @@ Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
         }
         size_t got;
         {
-          obs::TraceSpan span("merge.batch", "cpu");
-          obs::ScopedPerfRegion perf("merge");
+          obs::Stage stage(&ctx->perf, "merge.batch", "cpu");
           got = merger.NextBatch(ptrs.data(), batch_records);
         }
         {
-          obs::TraceSpan span("gather.slice", "cpu");
-          obs::ScopedPerfRegion perf("gather");
+          obs::Stage stage(&ctx->perf, "gather.slice", "cpu");
           GatherRecords(fmt, ptrs.data(), got, buf->data.data(),
                         opts.prefetch_distance);
         }
@@ -255,8 +251,7 @@ Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
         break;
       }
       {
-        obs::TraceSpan span("merge.seal", "io");
-        obs::ScopedPerfRegion perf("merge.seal");
+        obs::Stage stage(&ctx->perf, "merge.seal", "io");
         buf->pending = ctx->aio->SubmitWrite(ctx->output, buf->offset,
                                              buf->data.data(), buf->len);
       }
@@ -270,7 +265,7 @@ Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
     // Write pipe full, or nothing sealed while writes are outstanding:
     // retiring the oldest write is the only way buffers come free.
     if (!in_flight.empty()) {
-      obs::ScopedPerfRegion perf("merge.seal");
+      obs::Stage stage(&ctx->perf, "merge.seal", "io");
       retire_oldest();
       if (!status.ok()) break;
     }
@@ -319,21 +314,20 @@ Status MergeToWriter(SortContext* ctx, std::vector<EntryRun> runs,
     if (status.ok()) {
       // Reclaiming the buffer from its earlier write is part of the
       // output seal step, not the merge proper — account it there so the
-      // "merge" region stays a pure tournament measurement (docs/perf.md).
-      obs::ScopedPerfRegion perf("merge.seal");
+      // "merge.batch" stage stays a pure tournament measurement
+      // (docs/perf.md).
+      obs::Stage stage(&ctx->perf, "merge.seal", "io");
       status = out->Acquire(&dst, &room);
     }
     if (!status.ok()) break;
     size_t got;
     {
-      obs::TraceSpan span("merge.batch", "cpu");
-      obs::ScopedPerfRegion perf("merge");
+      obs::Stage stage(&ctx->perf, "merge.batch", "cpu");
       got = merger.NextBatch(ptrs.data(), batch_records);
     }
     ParallelGather(ctx, ptrs.data(), got, dst);
     {
-      obs::TraceSpan span("merge.seal", "io");
-      obs::ScopedPerfRegion perf("merge.seal");
+      obs::Stage stage(&ctx->perf, "merge.seal", "io");
       out->Seal(got * fmt.record_size);
     }
     progress(ctx, got * fmt.record_size);
@@ -382,14 +376,11 @@ std::vector<EntryRun> BlockRuns(const PrefixEntry* entries, uint64_t n,
 // The in-memory merge phase: merges the sorted `entry_runs` (entry arrays
 // over resident records) into ctx->output — partitioned across workers
 // when configured, a single sequential tournament otherwise — then
-// truncates to the input size and fills the merge metrics.
+// truncates to the input size and records the output CRC.
 Status MergeEntryRunsToOutput(SortContext* ctx,
                               const std::vector<EntryRun>& entry_runs) {
   const SortOptions& opts = *ctx->options;
   const RecordFormat& fmt = opts.format;
-  PhaseTimer phase;
-  obs::TraceSpan merge_phase_span("sort.merge_phase");
-  obs::ScopedPerfRegion merge_phase_perf("merge_phase");
 
   // Merge strategy (§5): with workers available, split the key space
   // into ~workers+1 disjoint ranges and let every worker drive its own
@@ -406,8 +397,7 @@ Status MergeEntryRunsToOutput(SortContext* ctx,
   }
   MergePartition partition;
   if (want_ranges > 1) {
-    obs::TraceSpan span("merge.partition", "cpu");
-    obs::ScopedPerfRegion perf("merge.partition");
+    obs::Stage stage(&ctx->perf, "merge.partition", "cpu");
     partition = PartitionEntryRuns(fmt, entry_runs, want_ranges);
   }
   uint32_t crc = 0;
@@ -425,7 +415,6 @@ Status MergeEntryRunsToOutput(SortContext* ctx,
   }
   ALPHASORT_RETURN_IF_ERROR(ctx->output->Truncate(ctx->input_bytes));
   ctx->metrics->output_crc32c = crc;
-  ctx->metrics->merge_phase_s = phase.Lap();
   return Status::OK();
 }
 
@@ -479,7 +468,6 @@ Status RunPasses(SortContext* ctx) {
   const SortOptions& opts = *ctx->options;
   const size_t rec = opts.format.record_size;
   const uint64_t run_records = opts.run_size_records;
-  PhaseTimer phase;
 
   // Zero-copy: a source whose entire input is already resident in one
   // immutable buffer (mmap, memory, generated) needs no record block and
@@ -509,8 +497,7 @@ Status RunPasses(SortContext* ctx) {
   // at `base`.
   auto sort_run = [ctx, &opts, rec, ents, &qs_stats](
                       const char* base, uint64_t start, uint64_t len) {
-    obs::TraceSpan span("quicksort.run", "cpu");
-    obs::ScopedPerfRegion perf("quicksort");
+    obs::Stage stage(&ctx->perf, "quicksort.run", "cpu");
     SortStats stats;
     BuildPrefixEntryArray(opts.format, base + start * rec, len, ents + start,
                           opts.prefetch_distance);
@@ -520,26 +507,11 @@ Status RunPasses(SortContext* ctx) {
     ProgressSorted(ctx, len * rec);
   };
 
-  // Phase laps: read_phase runs until the input ends; last_run from there
-  // to the merge (the tail sort that cannot overlap any input, §7, and a
-  // spilling sort's final spill).
-  ProgressPhase(ctx, obs::SortPhase::kRead);
-  std::optional<obs::TraceSpan> phase_span;
-  phase_span.emplace("sort.read_phase");
-  std::optional<obs::ScopedPerfRegion> phase_perf;
-  phase_perf.emplace("read_phase");
-  auto input_ended = [&] {
-    ctx->metrics->read_phase_s += phase.Lap();
-    ProgressPhase(ctx, obs::SortPhase::kLastRun);
-    phase_span.emplace("sort.last_run");
-    phase_perf.emplace("last_run");
-  };
-  bool eof = false;
+  // Phases: read until the input ends; last_run from there to the merge
+  // (the tail sort that cannot overlap any input, §7, and a spilling
+  // sort's final spill).
+  ctx->EnterPhase(obs::SortPhase::kRead);
   auto merge_begins = [&] {
-    (eof ? ctx->metrics->last_run_s : ctx->metrics->read_phase_s) +=
-        phase.Lap();
-    phase_perf.reset();
-    phase_span.reset();
     ctx->metrics->quicksort_stats = qs_stats.Take();
     if (!ctx->size_known) {
       ctx->num_records = ctx->bytes_read / rec;
@@ -548,7 +520,7 @@ Status RunPasses(SortContext* ctx) {
         ctx->progress->SetPlan(ctx->input_bytes, ctx->metrics->passes);
       }
     }
-    ProgressPhase(ctx, obs::SortPhase::kMerge);
+    ctx->EnterPhase(obs::SortPhase::kMerge);
   };
 
   // Ingests one block of up to `cap` records: sorts every run as the read
@@ -589,13 +561,14 @@ Status RunPasses(SortContext* ctx) {
       ctx->pool->WaitIdle();
       return s;
     }
-    if (*at_end) input_ended();
+    if (*at_end) ctx->EnterPhase(obs::SortPhase::kLastRun);
     if (next_run < *n) sort_run(base, next_run, *n - next_run);
     ctx->pool->WaitIdle();
     return Status::OK();
   };
 
   uint64_t n = 0;
+  bool eof = false;
   ALPHASORT_RETURN_IF_ERROR(ingest_block(cap0, &n, &eof));
 
   // The whole input arrived within the first block: one pass, unless a
@@ -630,13 +603,7 @@ Status RunPasses(SortContext* ctx) {
   ctx->metrics->num_runs = runs.size();
   merge_begins();
   if (!s.ok()) return s;
-  {
-    obs::TraceSpan span("sort.merge_phase");
-    obs::ScopedPerfRegion perf("merge_phase");
-    s = MergeScratchRuns(ctx, std::move(runs));
-  }
-  ctx->metrics->merge_phase_s = phase.Lap();
-  return s;
+  return MergeScratchRuns(ctx, std::move(runs));
 }
 
 }  // namespace core_internal

@@ -4,17 +4,19 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/chores.h"
 #include "core/options.h"
 #include "core/record_source.h"
 #include "core/sort_control.h"
-#include "core/sort_metrics.h"
 #include "io/async_io.h"
 #include "io/buffered_writer.h"
 #include "io/stripe.h"
+#include "obs/perf_counters.h"
 #include "obs/progress.h"
+#include "obs/sort_metrics.h"
 #include "sort/merger.h"
 
 namespace alphasort {
@@ -64,6 +66,27 @@ struct SortContext {
   // so plain vector access is safe. The ScratchSweeper uses it (plus an
   // Env::ListFiles backstop) to guarantee a failed sort leaks nothing.
   std::vector<std::string> scratch_created;
+
+  // The job's hardware-counter sink: every obs::Stage the sort opens is
+  // charged here, and RunSortPipeline hands it over as SortMetrics::perf.
+  // Lifetime condition: every chore that opens a Stage finishes before
+  // the body returns. The ingest WaitIdle, PartitionedMerge's WaitIdle
+  // and the synchronous ParallelFor drain them, so no sample outlives
+  // the context.
+  obs::PerfAccumulator perf;
+
+  // The phase clock, the one place phases change. Laps the time since
+  // the previous change into the SortMetrics field of the phase being
+  // left, closes that phase's stage, opens `next`'s (sort.startup,
+  // sort.read_phase, sort.last_run, sort.merge_phase, sort.close) and
+  // publishes `next` to progress. kDone only ends the last phase; the
+  // job's outcome is published by its executor.
+  void EnterPhase(obs::SortPhase next);
+
+ private:
+  obs::SortPhase phase_ = obs::SortPhase::kQueued;
+  PhaseTimer phase_timer_;
+  std::optional<obs::Stage> phase_stage_;
 };
 
 // Cancellation/deadline poll, called once per IO-buffer quantum (read
@@ -74,9 +97,6 @@ inline Status CheckControl(const SortContext* ctx) {
 
 // Null-safe progress publication helpers; same call frequency as
 // CheckControl (once per buffer, never per record).
-inline void ProgressPhase(SortContext* ctx, obs::SortPhase phase) {
-  if (ctx->progress != nullptr) ctx->progress->SetPhase(phase);
-}
 inline void ProgressRead(SortContext* ctx, uint64_t bytes) {
   if (ctx->progress != nullptr) ctx->progress->AddRead(bytes);
 }

@@ -13,11 +13,11 @@
 #include "core/options.h"
 #include "core/pipeline_internal.h"
 #include "core/sort_control.h"
-#include "core/sort_metrics.h"
 #include "io/async_io.h"
 #include "io/env.h"
 #include "obs/progress.h"
 #include "obs/report.h"
+#include "obs/sort_metrics.h"
 
 namespace alphasort {
 

@@ -154,15 +154,13 @@ Status GenerateRuns(core_internal::SortContext* ctx,
 // RunSortPipeline harness (which owns validation, env wrapping, file
 // opens, metrics, and observability).
 Status VmsBody(core_internal::SortContext* ctx) {
-  PhaseTimer phase;
   core_internal::ScratchSweeper sweeper(ctx);
   ctx->metrics->passes = 2;
 
-  core_internal::ProgressPhase(ctx, obs::SortPhase::kRead);
+  ctx->EnterPhase(obs::SortPhase::kRead);
   std::vector<ScratchRun> runs;
   bool direct_to_output = false;
   Status s = GenerateRuns(ctx, &runs, &direct_to_output);
-  ctx->metrics->read_phase_s = phase.Lap();
   ctx->metrics->num_runs =
       direct_to_output ? (ctx->num_records > 0 ? 1 : 0) : runs.size();
   if (!s.ok()) return s;  // the sweeper removes spilled runs
@@ -170,18 +168,16 @@ Status VmsBody(core_internal::SortContext* ctx) {
   if (direct_to_output) {
     // The single run already streamed to the output: one pass, no merge.
     ctx->metrics->passes = 1;
-    s = ctx->output->Truncate(ctx->input_bytes);
-  } else {
-    if (ctx->progress != nullptr) {
-      // Totals are final now (a streamed input has fully arrived);
-      // replace the harness's estimate with the real two-pass plan.
-      ctx->progress->SetPlan(ctx->input_bytes, 2);
-    }
-    core_internal::ProgressPhase(ctx, obs::SortPhase::kMerge);
-    s = core_internal::MergeScratchRuns(ctx, std::move(runs));
+    ctx->EnterPhase(obs::SortPhase::kMerge);
+    return ctx->output->Truncate(ctx->input_bytes);
   }
-  ctx->metrics->merge_phase_s = phase.Lap();
-  return s;
+  if (ctx->progress != nullptr) {
+    // Totals are final now (a streamed input has fully arrived); replace
+    // the harness's estimate with the real two-pass plan.
+    ctx->progress->SetPlan(ctx->input_bytes, 2);
+  }
+  ctx->EnterPhase(obs::SortPhase::kMerge);
+  return core_internal::MergeScratchRuns(ctx, std::move(runs));
 }
 
 }  // namespace

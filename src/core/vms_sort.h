@@ -2,8 +2,8 @@
 #define ALPHASORT_CORE_VMS_SORT_H_
 
 #include "core/options.h"
-#include "core/sort_metrics.h"
 #include "io/env.h"
+#include "obs/sort_metrics.h"
 
 namespace alphasort {
 

@@ -571,12 +571,26 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
   // the client disappears while the result streams back.
   st->charge_consumed = true;
 
+  // Every failed exit from here settles the job as failed, once. A send
+  // that fails means the client hung up mid-stream (EPIPE/ECONNRESET):
+  // like eof_midjob, a vanished peer rather than a protocol error, so
+  // the connection just closes (Run treats NotFound as a hang-up).
+  auto fail = [&](Status why, bool peer_gone) {
+    server_->NoteJobResult(false);
+    if (!peer_gone) return why;
+    ALPHASORT_LOG(kWarn, "svc.conn.eof_streamback")
+        .U64("conn", id_)
+        .U64("job", job.id())
+        .Str("status", why.ToString());
+    return Status::NotFound("client hung up during stream-back");
+  };
+
   const uint64_t stream_begin_us = NowUs();
   {
     obs::TraceSpan stream_span("net.stream_back", "net");
     Result<std::unique_ptr<File>> out_file =
         server_->env_->OpenFile(st->out_path, OpenMode::kReadOnly);
-    if (!out_file.ok()) return out_file.status();
+    if (!out_file.ok()) return fail(out_file.status(), false);
     std::string chunk;
     uint32_t crc = 0;
     uint64_t off = 0;
@@ -589,9 +603,11 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
       if (rs.ok() && got != want) {
         rs = Status::IOError("short read streaming sorted output");
       }
-      if (!rs.ok()) return rs;
-      ALPHASORT_RETURN_IF_ERROR(
-          WriteFrame(&conn_, FrameType::kData, chunk));
+      if (!rs.ok()) return fail(rs, false);
+      if (Status ws = WriteFrame(&conn_, FrameType::kData, chunk);
+          !ws.ok()) {
+        return fail(ws, true);
+      }
       crc = Crc32c(chunk.data(), want, crc);
       off += want;
       server_->NoteBytesTx(want);
@@ -599,8 +615,10 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
     DoneFrame done;
     done.total_bytes = total;
     done.crc32c = crc;
-    ALPHASORT_RETURN_IF_ERROR(
-        WriteFrame(&conn_, FrameType::kDone, done.Encode()));
+    if (Status ws = WriteFrame(&conn_, FrameType::kDone, done.Encode());
+        !ws.ok()) {
+      return fail(ws, true);
+    }
   }
 
   // Attribute the job's whole life before the terminal RESULT ships it.
@@ -612,9 +630,11 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
   timeline.DeriveQueue(wait_us);
   timeline.stream_us = NowUs() - stream_begin_us;
   timeline.e2e_us = NowUs() - st->start_us;
-  ALPHASORT_RETURN_IF_ERROR(
-      SendResult(job.id(), Status::OK(), total, timeline.e2e_us,
-                 &timeline));
+  if (Status ws = SendResult(job.id(), Status::OK(), total,
+                             timeline.e2e_us, &timeline);
+      !ws.ok()) {
+    return fail(ws, true);
+  }
 
   server_->NoteJobResult(true);
   obs::RecordTimelineHistograms(timeline);

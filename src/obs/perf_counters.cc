@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <mutex>
 
@@ -224,66 +223,6 @@ PerfDelta ComputeDelta(const PerfCounterGroup& group,
   return delta;
 }
 
-namespace {
-
-// The one global accumulator slot plus the pin count that keeps the
-// installed accumulator alive while ScopedPerfRegions reference it.
-// Function-local static so the slot outlives any static accumulator.
-struct AccumulatorSlot {
-  std::mutex mu;
-  std::condition_variable cv;
-  PerfAccumulator* acc = nullptr;
-  int pins = 0;
-};
-
-AccumulatorSlot& Slot() {
-  static AccumulatorSlot* slot = new AccumulatorSlot();
-  return *slot;
-}
-
-}  // namespace
-
-PerfAccumulator::~PerfAccumulator() { Uninstall(); }
-
-bool PerfAccumulator::TryInstall() {
-  AccumulatorSlot& slot = Slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  if (slot.acc != nullptr) return false;
-  slot.acc = this;
-  return true;
-}
-
-void PerfAccumulator::Uninstall() {
-  AccumulatorSlot& slot = Slot();
-  std::unique_lock<std::mutex> lock(slot.mu);
-  if (slot.acc != this) return;
-  // Drain regions already pinned to this accumulator before letting the
-  // caller destroy it. Regions release their pin at scope exit and never
-  // block on the slot while pinned, so this always terminates.
-  slot.cv.wait(lock, [&slot] { return slot.pins == 0; });
-  slot.acc = nullptr;
-}
-
-PerfAccumulator* PerfAccumulator::Current() {
-  AccumulatorSlot& slot = Slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  return slot.acc;
-}
-
-PerfAccumulator* PerfAccumulator::AcquirePin() {
-  AccumulatorSlot& slot = Slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  if (slot.acc == nullptr) return nullptr;
-  ++slot.pins;
-  return slot.acc;
-}
-
-void PerfAccumulator::ReleasePin() {
-  AccumulatorSlot& slot = Slot();
-  std::lock_guard<std::mutex> lock(slot.mu);
-  if (--slot.pins == 0) slot.cv.notify_all();
-}
-
 void PerfAccumulator::Add(const char* region, const PerfDelta& delta) {
   std::lock_guard<std::mutex> lock(mu_);
   regions_[region].Merge(delta);
@@ -299,16 +238,15 @@ PerfCounterGroup* ThreadPerfGroup() {
   return &group;
 }
 
-ScopedPerfRegion::ScopedPerfRegion(const char* region)
-    : acc_(PerfAccumulator::AcquirePin()), region_(region) {
-  if (acc_ != nullptr) before_ = ThreadPerfGroup()->Read();
-}
+Stage::Stage(PerfAccumulator* sink, const char* name, const char* category)
+    : span_(name, category),
+      sink_(sink),
+      name_(name),
+      before_(ThreadPerfGroup()->Read()) {}
 
-ScopedPerfRegion::~ScopedPerfRegion() {
-  if (acc_ == nullptr) return;
+Stage::~Stage() {
   PerfCounterGroup* group = ThreadPerfGroup();
-  acc_->Add(region_, ComputeDelta(*group, before_, group->Read()));
-  PerfAccumulator::ReleasePin();
+  sink_->Add(name_, ComputeDelta(*group, before_, group->Read()));
 }
 
 bool PerfReport::AnyAvailable() const {
@@ -339,7 +277,7 @@ std::string PerfReport::ToString() const {
   for (const auto& [name, d] : regions) {
     if (!d.available) continue;
     out += StrFormat(
-        "hw %-12s cycles %.3g  instr %.3g  ipc %.2f  cache-refs %.3g  "
+        "hw %-16s cycles %.3g  instr %.3g  ipc %.2f  cache-refs %.3g  "
         "cache-miss %.3g (%.1f%%)  branch-miss %.3g  (%llu samples, "
         "%.0f%% counted)\n",
         name.c_str(), d.cycles, d.instructions, d.Ipc(),

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <string>
 
+#include "obs/trace.h"
+
 namespace alphasort {
 namespace obs {
 
@@ -29,14 +31,14 @@ namespace obs {
 // "available": false instead of erroring — observability must never be
 // the thing that breaks the sort.
 //
-// Usage mirrors TraceRecorder: install an accumulator, run, read it.
+// Usage: one obs::Stage per pipeline stage, charged to the job's sink.
 //
-//   obs::PerfAccumulator acc;
-//   if (acc.TryInstall()) {
-//     { obs::ScopedPerfRegion r("quicksort"); ... hot work ... }
-//     acc.Uninstall();
+//   obs::PerfAccumulator sink;  // one per job (SortContext::perf)
+//   {
+//     obs::Stage stage(&sink, "quicksort.run", "cpu");
+//     ... hot work ...
 //   }
-//   std::map<std::string, obs::PerfDelta> regions = acc.Regions();
+//   std::map<std::string, obs::PerfDelta> regions = sink.Regions();
 
 // The hardware events this wrapper counts, in fixed order.
 enum class PerfEvent : int {
@@ -136,43 +138,15 @@ PerfDelta ComputeDelta(const PerfCounterGroup& group,
                        const PerfReadingSet& before,
                        const PerfReadingSet& after);
 
-// Aggregates region deltas across threads for one sort. At most one
-// accumulator is installed at a time (TryInstall; concurrent sorts: the
-// first wins and the rest simply collect nothing), and the destructor
-// uninstalls itself so an early error return cannot leave a dangling
-// global.
-//
-// Lifetime under concurrency: a ScopedPerfRegion *pins* the installed
-// accumulator for its whole scope, and Uninstall blocks until every pin
-// is released. Without that, a concurrent sort could destroy the
-// accumulator between a region's constructor (which captured the
-// pointer) and its destructor (which adds to it) — regions run on
-// shared worker threads, so any job's regions may target any job's
-// accumulator.
+// One job's hardware-counter sink: region deltas from every thread the
+// job's stages ran on, merged by stage name. Thread-safe; the owner must
+// outlive every Stage charged to it.
 class PerfAccumulator {
  public:
   PerfAccumulator() = default;
-  ~PerfAccumulator();
 
   PerfAccumulator(const PerfAccumulator&) = delete;
   PerfAccumulator& operator=(const PerfAccumulator&) = delete;
-
-  // Installs this accumulator if none is installed; false when another
-  // holds the slot.
-  bool TryInstall();
-
-  // Uninstalls if currently installed (no-op otherwise). Waits for
-  // in-flight ScopedPerfRegions pinning this accumulator to finish, so
-  // the object is safe to destroy on return.
-  void Uninstall();
-
-  static PerfAccumulator* Current();
-
-  // Pins the installed accumulator (null when none): the returned
-  // pointer stays valid until ReleasePin(). Every AcquirePin that
-  // returned non-null must be paired with exactly one ReleasePin.
-  static PerfAccumulator* AcquirePin();
-  static void ReleasePin();
 
   void Add(const char* region, const PerfDelta& delta);
 
@@ -183,25 +157,28 @@ class PerfAccumulator {
   std::map<std::string, PerfDelta> regions_;
 };
 
-// RAII region: samples the calling thread's counters at construction and
-// destruction and adds the delta to the installed accumulator under
-// `region` (a string literal). The accumulator stays pinned (alive) for
-// the region's whole scope; when none is installed the object is one
-// uncontended lock round-trip. Regions may overlap and nest freely —
-// each is an independent label, so e.g. "merge_phase" on the root
-// contains the same cycles the per-batch "merge" regions count.
-class ScopedPerfRegion {
+// The one probe per pipeline stage: a trace span and a hardware-counter
+// sample of the calling thread under one name, so the trace, the report's
+// hardware_counters.regions and the docs share one vocabulary. The sample
+// is charged to `sink` at scope exit. `name` and `category` must be
+// string literals (the span stores the pointer). Stages may overlap and
+// nest freely; each is an independent label, so e.g. "sort.merge_phase"
+// on the root contains the same cycles the per-batch "merge.batch"
+// stages count.
+class Stage {
  public:
-  explicit ScopedPerfRegion(const char* region);
-  ~ScopedPerfRegion();
+  Stage(PerfAccumulator* sink, const char* name,
+        const char* category = "sort");
+  ~Stage();
 
-  ScopedPerfRegion(const ScopedPerfRegion&) = delete;
-  ScopedPerfRegion& operator=(const ScopedPerfRegion&) = delete;
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
 
  private:
-  PerfAccumulator* const acc_;
-  const char* const region_;
-  PerfReadingSet before_;
+  TraceSpan span_;
+  PerfAccumulator* const sink_;
+  const char* const name_;
+  const PerfReadingSet before_;
 };
 
 // The calling thread's lazily-opened counter group (one set of fds per
@@ -211,9 +188,8 @@ PerfCounterGroup* ThreadPerfGroup();
 // Availability/per-region summary carried in SortMetrics and serialized
 // by the sort report.
 struct PerfReport {
-  // True when the run tried to collect (options on AND this sort won the
-  // accumulator slot). regions empty + attempted means no instrumented
-  // code ran.
+  // True when the run collected into a sink (every pipeline sort does).
+  // regions empty + attempted means no instrumented code ran.
   bool attempted = false;
   std::map<std::string, PerfDelta> regions;
 

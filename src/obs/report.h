@@ -28,12 +28,14 @@ namespace obs {
 // `schema_version`. Adding keys is backward compatible; removing or
 // renaming any key the validators below require bumps kSchemaVersion.
 // `schema_minor` records additive revisions within a major version
-// (minor 1: registry.gauges is always present).
+// (minor 1: registry.gauges is always present; minor 2:
+// hardware_counters.regions is keyed by the trace span names, e.g.
+// "quicksort.run", "sort.merge_phase", "sort.run").
 
 // One sort's full report.
 struct SortReport {
   static constexpr int kSchemaVersion = 1;
-  static constexpr int kSchemaVersionMinor = 1;
+  static constexpr int kSchemaVersionMinor = 2;
   static constexpr const char* kKind = "alphasort.sort_report";
 
   std::string tool;    // producing binary, e.g. "asort"

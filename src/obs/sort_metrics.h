@@ -12,7 +12,7 @@
 // SortMetrics lives with the observability layer (obs/report.h folds it
 // into the versioned SortReport JSON) but stays in the top-level
 // alphasort namespace: it is the result struct of AlphaSort::Run and
-// predates the move. core/sort_metrics.h forwards here.
+// predates the move.
 
 namespace alphasort {
 
@@ -86,18 +86,19 @@ struct SortMetrics {
   // This run's traffic through the process-global metrics registry
   // (async IO scheduler waits, stripe fanout, chore counts, retries):
   // the delta of a Snapshot() taken before and after the sort, so
-  // back-to-back runs in one process each report only their own events
-  // (SortOptions::collect_registry_delta).
+  // back-to-back runs in one process each report only their own events.
   obs::RegistrySnapshot registry_delta;
 
   // Hardware counters (cycles, instructions, cache refs/misses, branch
-  // misses) per pipeline region — "quicksort", "gather", "merge", the
-  // phase scopes, and "total" — sampled via perf_event_open when
-  // SortOptions::collect_perf_counters is set. Regions overlap by
-  // design (phases contain their chores), like the paper's Figure 7
-  // overlap accounting. When the syscall is denied (containers,
-  // perf_event_paranoid) every region reports available=false with the
-  // reason instead of failing the sort.
+  // misses) per pipeline stage, keyed by the stage's trace span name —
+  // "quicksort.run", "merge.batch", "gather.slice", "merge.seal",
+  // "merge.partition", "merge.range", the phases ("sort.startup",
+  // "sort.read_phase", "sort.last_run", "sort.merge_phase",
+  // "sort.close") and "sort.run" — sampled via perf_event_open by every
+  // obs::Stage the sort opens. Regions overlap by design (phases contain
+  // their chores), like the paper's Figure 7 overlap accounting. When the
+  // syscall is denied (containers, perf_event_paranoid) every region
+  // reports available=false with the reason instead of failing the sort.
   obs::PerfReport perf;
 
   // Sum of the five phase laps. `total_s` is measured independently by

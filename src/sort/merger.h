@@ -23,6 +23,22 @@ struct EntryRun {
   size_t size() const { return static_cast<size_t>(end - begin); }
 };
 
+// Key order over prefix entries that counts into `stats`: prefix first,
+// full record keys on prefix ties. The order of the file merges'
+// tournaments over RunReaders (scratch runs, sorted input files).
+struct CountingEntryLess {
+  RecordFormat format;
+  SortStats* stats;
+
+  bool operator()(const PrefixEntry& a, const PrefixEntry& b) const {
+    ++stats->compares;
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    if (format.key_size <= 8) return false;
+    ++stats->tie_breaks;
+    return format.CompareKeys(a.record, b.record) < 0;
+  }
+};
+
 // Merges K sorted runs of prefix entries with a loser tree, emitting the
 // globally ordered stream of record pointers (paper §4/§7: "the merge
 // results in a stream of in-order record pointers"). Compares resolve on

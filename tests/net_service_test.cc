@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -382,6 +383,45 @@ TEST_F(NetServiceTest, MidStreamDisconnectLeaksNothing) {
   // nothing left behind.
   ExpectNoResidue();
   EXPECT_EQ(uint64_t(0), server_->stats().jobs_completed);
+}
+
+// A client that reads the first DATA frame of its sorted stream and then
+// hangs up leaves the server blocked mid-send: the output is several
+// times what the loopback socket buffers hold. The failed send is a
+// vanished peer, not a protocol error, and the job is settled once.
+TEST_F(NetServiceTest, HangUpDuringStreamBackSettlesTheJob) {
+  StartDefaultServer();
+  const std::vector<char> data = MakeRecords(240000);  // 24 MB
+  {
+    Result<TcpConn> conn = TcpConnect("127.0.0.1", port());
+    ASSERT_TRUE(conn.ok());
+    auto reader = RawHello(&conn.value(), "quitter");
+    SubmitFrame submit;
+    submit.expected_bytes = data.size();
+    submit.memory_budget = 48 * kMB;
+    ASSERT_TRUE(
+        WriteFrame(&conn.value(), FrameType::kSubmit, submit.Encode()).ok());
+    constexpr size_t kChunk = 512 * 1024;
+    for (size_t off = 0; off < data.size(); off += kChunk) {
+      const size_t n = std::min(kChunk, data.size() - off);
+      ASSERT_TRUE(WriteFrame(&conn.value(), FrameType::kData,
+                             std::string(data.data() + off, n))
+                      .ok());
+    }
+    DoneFrame done;
+    done.total_bytes = data.size();
+    done.crc32c = Crc32c(data.data(), data.size());
+    ASSERT_TRUE(
+        WriteFrame(&conn.value(), FrameType::kDone, done.Encode()).ok());
+    Frame f;
+    ASSERT_TRUE(ExpectFrame(reader.get(), FrameType::kData, &f).ok());
+    conn.value().Close();
+  }
+  ExpectNoResidue();
+  const NetServerStats s = server_->stats();
+  EXPECT_EQ(uint64_t(0), s.protocol_errors);
+  EXPECT_EQ(uint64_t(1), s.jobs_submitted);
+  EXPECT_EQ(s.jobs_submitted, s.jobs_completed + s.jobs_failed);
 }
 
 TEST_F(NetServiceTest, AnswersStatusDuringUpload) {

@@ -1,19 +1,18 @@
 // Tests for the perf_event_open wrapper (src/obs/perf_counters.h):
 // graceful degradation when the syscall is denied (the common container
-// case), multiplex-scaling math, accumulator install semantics, and the
-// PerfReport summary. Real-PMU behavior is environment-dependent, so
+// case), multiplex-scaling math, per-job sinks and the obs::Stage probe,
+// and the PerfReport summary. Real-PMU behavior is environment-dependent, so
 // the deterministic tests inject failing open functions; the one test
 // against the live syscall only asserts invariants that hold whether or
 // not counters are available.
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <thread>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "obs/perf_counters.h"
+#include "obs/trace.h"
 
 namespace alphasort {
 namespace obs {
@@ -112,66 +111,6 @@ TEST(PerfDeltaTest, DerivedRatios) {
   EXPECT_EQ(zero.CacheMissRate(), 0.0);
 }
 
-TEST(PerfAccumulatorTest, OnlyOneInstallWins) {
-  PerfAccumulator first;
-  ASSERT_TRUE(first.TryInstall());
-  EXPECT_EQ(PerfAccumulator::Current(), &first);
-  PerfAccumulator second;
-  EXPECT_FALSE(second.TryInstall());
-  EXPECT_EQ(PerfAccumulator::Current(), &first);
-  first.Uninstall();
-  EXPECT_EQ(PerfAccumulator::Current(), nullptr);
-  EXPECT_TRUE(second.TryInstall());
-  second.Uninstall();
-}
-
-// Uninstall must wait for in-flight regions: with concurrent sort jobs
-// on shared worker threads, one job's ScopedPerfRegion can target the
-// accumulator another job is about to destroy (the use-after-free the
-// pin count exists to prevent).
-TEST(PerfAccumulatorTest, UninstallDrainsPinnedRegions) {
-  PerfAccumulator acc;
-  ASSERT_TRUE(acc.TryInstall());
-
-  std::atomic<bool> region_open{false};
-  std::atomic<bool> release_region{false};
-  std::thread worker([&] {
-    ScopedPerfRegion region("pinned");
-    region_open.store(true);
-    while (!release_region.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!region_open.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  std::atomic<bool> uninstalled{false};
-  std::thread uninstaller([&] {
-    acc.Uninstall();
-    uninstalled.store(true);
-  });
-  // The region is still open, so Uninstall must be parked.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(uninstalled.load());
-
-  release_region.store(true);
-  worker.join();
-  uninstaller.join();
-  EXPECT_TRUE(uninstalled.load());
-  EXPECT_EQ(PerfAccumulator::Current(), nullptr);
-}
-
-TEST(PerfAccumulatorTest, DestructorUninstalls) {
-  {
-    PerfAccumulator acc;
-    ASSERT_TRUE(acc.TryInstall());
-  }
-  // An early error return destroys the accumulator without an explicit
-  // Uninstall; the global slot must not dangle.
-  EXPECT_EQ(PerfAccumulator::Current(), nullptr);
-}
-
 TEST(PerfAccumulatorTest, AddMergesByRegion) {
   PerfAccumulator acc;
   PerfDelta d;
@@ -188,18 +127,19 @@ TEST(PerfAccumulatorTest, AddMergesByRegion) {
   EXPECT_EQ(regions.at("merge").samples, 1u);
 }
 
-TEST(ScopedPerfRegionTest, CollectsIntoInstalledAccumulator) {
-  PerfAccumulator acc;
-  ASSERT_TRUE(acc.TryInstall());
+TEST(StageTest, ChargesItsSinkAndTracesUnderOneName) {
+  TraceRecorder recorder;
+  recorder.Install();
+  PerfAccumulator sink;
   {
-    ScopedPerfRegion region("test_region");
-    volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < 100000; ++i) sink = sink + i;
+    Stage stage(&sink, "test.stage", "cpu");
+    volatile uint64_t spin = 0;
+    for (uint64_t i = 0; i < 100000; ++i) spin = spin + i;
   }
-  acc.Uninstall();
-  const auto regions = acc.Regions();
-  ASSERT_EQ(regions.count("test_region"), 1u);
-  const PerfDelta& d = regions.at("test_region");
+  TraceRecorder::Uninstall();
+  const auto regions = sink.Regions();
+  ASSERT_EQ(regions.count("test.stage"), 1u);
+  const PerfDelta& d = regions.at("test.stage");
   EXPECT_EQ(d.samples, 1u);
   // Whether counters are live depends on the host (a locked-down
   // container reports unavailable); both outcomes must be coherent.
@@ -208,13 +148,9 @@ TEST(ScopedPerfRegionTest, CollectsIntoInstalledAccumulator) {
   } else {
     EXPECT_FALSE(d.unavailable_reason.empty());
   }
-}
-
-TEST(ScopedPerfRegionTest, NoAccumulatorIsANoOp) {
-  ASSERT_EQ(PerfAccumulator::Current(), nullptr);
-  ScopedPerfRegion region("ignored");
-  // Nothing to assert beyond "does not crash / does not install".
-  EXPECT_EQ(PerfAccumulator::Current(), nullptr);
+  // The same name keys the trace span around the same code.
+  EXPECT_NE(recorder.ToChromeJson().find("\"name\":\"test.stage\""),
+            std::string::npos);
 }
 
 TEST(PerfReportTest, UnavailableReportExplainsItself) {

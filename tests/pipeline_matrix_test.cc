@@ -3,11 +3,17 @@
 // report the same output CRC-32C, pass the streaming SortValidator, and
 // account its run-sort and merge compares. Covers the zero-copy resident
 // path (mmap, memory, generated) and a spilling stream, neither of which
-// the file-driven suites reach.
+// the file-driven suites reach. The stage tests check that every body
+// reports its hardware-counter stages under its trace span names, with
+// phase laps that add up, and per job when jobs share a Sorter.
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -17,8 +23,13 @@
 
 #include "common/checksum.h"
 #include "core/alphasort.h"
+#include "core/hypercube_sort.h"
 #include "core/record_source.h"
+#include "core/sorter.h"
+#include "core/vms_sort.h"
 #include "io/env.h"
+#include "obs/json.h"
+#include "obs/trace.h"
 #include "record/generator.h"
 #include "record/validator.h"
 
@@ -218,6 +229,149 @@ TEST(PipelineCloseTest, FailingSourceCloseStillClosesAndReports) {
   EXPECT_GE(metrics.write_io.bytes, ref.sorted.size());
   EXPECT_GT(metrics.total_s, 0.0);
   EXPECT_FALSE(metrics.registry_delta.counters.empty());
+}
+
+// Names of the complete ("ph":"X") spans in a Chrome trace.
+std::set<std::string> CompleteSpanNames(const std::string& json) {
+  obs::JsonValue trace;
+  EXPECT_TRUE(obs::ParseJson(json, &trace).ok());
+  std::set<std::string> names;
+  const obs::JsonValue* events = trace.Find("traceEvents");
+  if (events == nullptr) return names;
+  for (const obs::JsonValue& ev : events->items) {
+    const obs::JsonValue* ph = ev.Find("ph");
+    const obs::JsonValue* name = ev.Find("name");
+    if (ph != nullptr && name != nullptr && ph->string_value == "X") {
+      names.insert(name->string_value);
+    }
+  }
+  return names;
+}
+
+using SortFn = std::function<Status(Env*, const SortOptions&, SortMetrics*)>;
+
+// Runs `sort` over the reference input under an installed trace recorder
+// and checks that the report and the trace speak one vocabulary: every
+// hardware-counter region is a span of the same run, the phase spans are
+// present, and the phase laps add up to the total.
+void ExpectOneVocabulary(const char* label, SortOptions opts,
+                         const SortFn& sort) {
+  SCOPED_TRACE(label);
+  auto env = NewMemEnv();
+  ASSERT_TRUE(env->WriteStringToFile("in.dat", Ref().input).ok());
+  opts.input_path = "in.dat";
+  opts.output_path = "out.dat";
+  opts.scratch_path = "scratch";
+  opts.run_size_records = 700;
+  opts.io_chunk_bytes = 8 * 1024;
+
+  obs::TraceRecorder recorder;
+  recorder.Install();
+  SortMetrics m;
+  Status s = sort(env.get(), opts, &m);
+  obs::TraceRecorder::Uninstall();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(recorder.dropped(), 0u);
+  const std::set<std::string> spans =
+      CompleteSpanNames(recorder.ToChromeJson());
+
+  EXPECT_TRUE(m.perf.attempted);
+  for (const auto& [name, delta] : m.perf.regions) {
+    EXPECT_EQ(spans.count(name), 1u) << "region " << name << " has no span";
+  }
+  for (const char* phase :
+       {"sort.run", "sort.read_phase", "sort.merge_phase"}) {
+    EXPECT_EQ(spans.count(phase), 1u) << phase;
+    EXPECT_EQ(m.perf.regions.count(phase), 1u) << phase;
+  }
+  EXPECT_LE(std::fabs(m.total_s - m.PhaseSum()), 1e-3 + 0.01 * m.total_s)
+      << m.ToString();
+}
+
+TEST(StageTest, EveryBodyReportsItsSpansAndPhasesAddUp) {
+  const SortFn alphasort = [](Env* env, const SortOptions& opts,
+                              SortMetrics* m) {
+    return AlphaSort::Run(env, opts, m);
+  };
+  for (const int workers : {0, 3}) {
+    SortOptions opts;
+    opts.num_workers = workers;
+    ExpectOneVocabulary(workers == 0 ? "one-pass w0" : "one-pass w3", opts,
+                        alphasort);
+    opts.memory_budget = 256 * 1024;
+    opts.force_passes = 2;
+    ExpectOneVocabulary(workers == 0 ? "spill w0" : "spill w3", opts,
+                        alphasort);
+  }
+
+  SortOptions spilling;
+  spilling.memory_budget = 256 * 1024;
+  ExpectOneVocabulary("vms", spilling,
+                      [](Env* env, const SortOptions& opts, SortMetrics* m) {
+                        return VmsSort::Run(env, opts, m);
+                      });
+  ExpectOneVocabulary(
+      "hypercube", SortOptions(),
+      [](Env* env, const SortOptions& opts, SortMetrics* m) {
+        HypercubeMetrics hm;
+        Status s = HypercubeSort::Run(env, opts, HypercubeOptions(), &hm);
+        *m = hm.sort;
+        return s;
+      });
+}
+
+// Two jobs sorting at once on one Sorter share its workers, yet each
+// collects its own hardware-counter stages: every job's quicksort.run
+// samples are exactly its own runs.
+TEST(StageTest, ConcurrentJobsKeepTheirOwnCounters) {
+  const Reference& ref = Ref();
+  auto env = NewMemEnv();
+  Sorter::Resources resources;
+  resources.num_workers = 3;
+  Sorter sorter(env.get(), resources);
+
+  const uint64_t records[2] = {kRecords, kRecords / 2};
+  std::shared_ptr<StreamRecordSource> streams[2];
+  std::vector<SortJob> jobs;
+  for (int j = 0; j < 2; ++j) {
+    streams[j] = std::make_shared<StreamRecordSource>(64 * 1024);
+    SortOptions opts;
+    opts.source = [stream = streams[j]] { return stream; };
+    opts.output_path = "out" + std::to_string(j);
+    opts.scratch_path = "scratch" + std::to_string(j);
+    opts.run_size_records = 700;
+    opts.io_chunk_bytes = 8 * 1024;
+    jobs.push_back(sorter.Start(opts));
+  }
+  // Both jobs are inside their read phase before any input flows, so the
+  // two sorts are certain to overlap.
+  for (SortJob& job : jobs) {
+    while (job.Progress().phase != obs::SortPhase::kRead && !job.TryWait()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  std::vector<std::thread> producers;
+  for (int j = 0; j < 2; ++j) {
+    producers.emplace_back([&ref, &streams, &records, j] {
+      if (streams[j]->Append(ref.input.data(),
+                             records[j] * kFormat.record_size)) {
+        streams[j]->CloseWrite();
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+
+  for (int j = 0; j < 2; ++j) {
+    SCOPED_TRACE(j);
+    const SortResult& r = jobs[j].Wait();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.metrics.perf.attempted);
+    EXPECT_EQ(r.metrics.num_runs, (records[j] + 699) / 700);
+    const auto& regions = r.metrics.perf.regions;
+    const auto quicksort = regions.find("quicksort.run");
+    EXPECT_EQ(quicksort == regions.end() ? 0 : quicksort->second.samples,
+              r.metrics.num_runs);
+  }
 }
 
 }  // namespace

@@ -269,7 +269,7 @@ TEST(SortReportEndToEndTest, MemSortProducesValidReport) {
   // host-dependent); the report must say one way or the other.
   EXPECT_TRUE(metrics.perf.attempted);
   EXPECT_FALSE(metrics.perf.regions.empty());
-  EXPECT_EQ(metrics.perf.regions.count("total"), 1u);
+  EXPECT_EQ(metrics.perf.regions.count("sort.run"), 1u);
 
   SortReport report;
   report.tool = "report_test";
