@@ -32,6 +32,7 @@
 #include "benchlib/datamation.h"
 #include "benchlib/net_bench.h"
 #include "benchlib/service_bench.h"
+#include "common/checksum.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
 #include "common/table.h"
@@ -333,6 +334,28 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
               {"records_per_s", n / s8},
               {"simd_active", active}});
       }
+    }
+  }
+
+  // CRC-32C over the whole record block (the size of every checksum pass
+  // a one-pass sort of this input makes): the CRC-32C instruction, then
+  // the slice-by-8 fallback as simd=0. Both must return the same value.
+  {
+    uint32_t crcs[2] = {0, 0};
+    for (const bool simd_on : {true, false}) {
+      simd::ScopedForceScalar force(!simd_on);
+      const double active =
+          simd::kHasCrc32c && simd::VectorActive() ? 1.0 : 0.0;
+      uint32_t& crc = crcs[simd_on ? 0 : 1];
+      const double s =
+          best_of([&] { crc = Crc32c(block.data(), block.size()); });
+      push(StrFormat("kernel=crc32c n=%zu%s", n, simd_on ? "" : " simd=0"),
+           {{"seconds", s},
+            {"gb_per_s", double(block.size()) / 1e9 / s},
+            {"simd_active", active}});
+    }
+    if (crcs[0] != crcs[1]) {
+      fprintf(stderr, "kernels: crc32c hardware != slice-by-8!\n");
     }
   }
 

@@ -1,6 +1,10 @@
 #include "common/checksum.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
+
+#include "common/simd.h"
 
 namespace alphasort {
 
@@ -8,22 +12,60 @@ namespace {
 
 constexpr uint32_t kCrc32cPoly = 0x82f63b78u;  // reflected Castagnoli
 
-std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 tables: kSlice[k][b] is the CRC register after byte b
+// followed by k zero bytes, so one 8-byte step is eight independent
+// lookups instead of eight dependent ones. kSlice[0] is the classic
+// byte-at-a-time table.
+using SliceTables = std::array<std::array<uint32_t, 256>, 8>;
+constexpr SliceTables MakeSliceTables() {
+  SliceTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (kCrc32cPoly ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+  }
+  return t;
+}
+constexpr SliceTables kSlice = MakeSliceTables();
+
+// The scalar fallback, on the raw (uninverted) register.
+uint32_t Crc32cSliceBy8(uint32_t c, const unsigned char* p, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; n -= 8, p += 8) {
+      uint64_t w;
+      memcpy(&w, p, 8);
+      w ^= c;
+      c = kSlice[7][w & 0xff] ^ kSlice[6][(w >> 8) & 0xff] ^
+          kSlice[5][(w >> 16) & 0xff] ^ kSlice[4][(w >> 24) & 0xff] ^
+          kSlice[3][(w >> 32) & 0xff] ^ kSlice[2][(w >> 40) & 0xff] ^
+          kSlice[1][(w >> 48) & 0xff] ^ kSlice[0][w >> 56];
+    }
+  }
+  for (; n > 0; --n, ++p) c = kSlice[0][(c ^ *p) & 0xff] ^ (c >> 8);
+  return c;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> kTable = MakeTable();
-  return kTable;
+#if defined(ALPHASORT_SIMD_CRC32C)
+// One instruction per 8-byte word, then the byte tail. A single
+// dependency chain (~8 bytes per 3 cycles) already outruns memory
+// bandwidth on the buffers the sort checksums.
+uint32_t Crc32cHardware(uint32_t c, const unsigned char* p, size_t n) {
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t w;
+    memcpy(&w, p, 8);
+    c = simd::Crc32cU64(c, w);
+  }
+  for (; n > 0; --n, ++p) c = simd::Crc32cU8(c, *p);
+  return c;
 }
+#endif
 
 // 64-bit mix (xxhash-style avalanche) for fingerprint hashing.
 uint64_t Mix64(uint64_t x) {
@@ -83,13 +125,12 @@ uint32_t Crc32cCombine(uint32_t crc1, uint32_t crc2, uint64_t len2) {
 }
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
-  const auto& table = Table();
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
+  const uint32_t c = seed ^ 0xffffffffu;
+#if defined(ALPHASORT_SIMD_CRC32C)
+  if (simd::VectorActive()) return Crc32cHardware(c, p, n) ^ 0xffffffffu;
+#endif
+  return Crc32cSliceBy8(c, p, n) ^ 0xffffffffu;
 }
 
 void MultisetFingerprint::Add(const void* data, size_t n) {

@@ -6,8 +6,15 @@
 
 namespace alphasort {
 
-// CRC-32C (Castagnoli), software table implementation. Used by the
-// sorted-permutation validator and stripe metadata integrity checks.
+// CRC-32C (Castagnoli) of `n` bytes, continuing from `seed` (a previous
+// Crc32c result): Crc32c(b, Crc32c(a)) == Crc32c(a||b). Checksums every
+// merged output byte, every spilled-run byte and every byte on the wire,
+// so it runs on the CRC-32C instruction where one is compiled in (SSE4.2
+// `crc32` on x86-64, the ARMv8 CRC extension on AArch64; common/simd.h)
+// and on a slice-by-8 table loop otherwise. The forced-scalar build
+// (ALPHASORT_SIMD_FORCE_SCALAR) and the run-time kill switch
+// (simd::SetForceScalar, read once per call) select the table loop. Both
+// paths return identical values.
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 
 // CRC of the concatenation A||B from the CRCs of A and B and the length

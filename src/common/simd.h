@@ -7,7 +7,9 @@
 #include <cstring>
 
 // SIMD shim for the hot in-cache kernels (entry-array build and the
-// QuickSort prefix-compare scans — docs/perf.md "Kernel speed pass 2").
+// QuickSort prefix-compare scans — docs/perf.md "Kernel speed pass 2")
+// and for the CRC-32C instruction behind Crc32c (docs/perf.md "Checksum
+// kernel").
 //
 // Three backends, chosen at compile time:
 //   - SSE on x86-64 (SSE2 baseline; the 64-bit compares additionally need
@@ -42,6 +44,9 @@
 #elif defined(__aarch64__) || defined(__ARM_NEON)
 #define ALPHASORT_SIMD_NEON 1
 #include <arm_neon.h>
+#if defined(__ARM_FEATURE_CRC32)
+#include <arm_acle.h>
+#endif
 #endif
 #endif  // !ALPHASORT_SIMD_FORCE_SCALAR
 
@@ -55,6 +60,15 @@
 #if (defined(ALPHASORT_SIMD_SSE) && defined(__SSE4_2__)) || \
     defined(ALPHASORT_SIMD_NEON)
 #define ALPHASORT_SIMD_CMP64 1
+#endif
+
+// The CRC-32C instruction: SSE4.2 `crc32` (64-bit form, so x86-64 only)
+// or the ARMv8 CRC extension. Gates the hardware Crc32c in
+// common/checksum.cc; without it Crc32c runs slice-by-8.
+#if (defined(ALPHASORT_SIMD_SSE) && defined(__SSE4_2__) && \
+     defined(__x86_64__)) ||                                 \
+    (defined(ALPHASORT_SIMD_NEON) && defined(__ARM_FEATURE_CRC32))
+#define ALPHASORT_SIMD_CRC32C 1
 #endif
 
 namespace alphasort {
@@ -83,6 +97,14 @@ inline constexpr const char* kBackendName = "scalar";
 inline constexpr bool kHasCompare64 = true;
 #else
 inline constexpr bool kHasCompare64 = false;
+#endif
+
+// The CRC-32C instruction (see ALPHASORT_SIMD_CRC32C): when false, or
+// when the kill switch is on, Crc32c runs its slice-by-8 fallback.
+#if defined(ALPHASORT_SIMD_CRC32C)
+inline constexpr bool kHasCrc32c = true;
+#else
+inline constexpr bool kHasCrc32c = false;
 #endif
 
 // Process-wide force-scalar flag, for simd-vs-scalar parity tests and the
@@ -327,6 +349,28 @@ inline unsigned LessU32Mask(V128 a, V128 b) {
 inline unsigned GreaterU32Mask(V128 a, V128 b) { return LessU32Mask(b, a); }
 
 #endif  // backend
+
+// ---------------------------------------------------------------------------
+// CRC-32C steps: the reflected Castagnoli register advanced over 8 bytes
+// (little-endian word) or 1 byte, with no pre/post inversion.
+// ---------------------------------------------------------------------------
+
+#if defined(ALPHASORT_SIMD_CRC32C)
+inline uint32_t Crc32cU64(uint32_t crc, uint64_t v) {
+#if defined(ALPHASORT_SIMD_SSE)
+  return static_cast<uint32_t>(_mm_crc32_u64(crc, v));
+#else
+  return __crc32cd(crc, v);
+#endif
+}
+inline uint32_t Crc32cU8(uint32_t crc, uint8_t v) {
+#if defined(ALPHASORT_SIMD_SSE)
+  return _mm_crc32_u8(crc, v);
+#else
+  return __crc32cb(crc, v);
+#endif
+}
+#endif  // ALPHASORT_SIMD_CRC32C
 
 }  // namespace simd
 }  // namespace alphasort

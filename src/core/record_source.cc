@@ -310,6 +310,7 @@ Status StreamRecordSource::TryAppend(const char* data, size_t n,
   if (n > 0) {
     chunks_.emplace_back(data, n);
     buffered_ += n;
+    peak_buffered_ = std::max(peak_buffered_, buffered_);
   }
   *accepted = true;
   can_read_.notify_all();
@@ -356,6 +357,11 @@ void StreamRecordSource::Fail(Status status) {
 size_t StreamRecordSource::buffered() const {
   std::lock_guard<std::mutex> lock(mu_);
   return buffered_;
+}
+
+size_t StreamRecordSource::peak_buffered() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return peak_buffered_;
 }
 
 }  // namespace alphasort

@@ -266,8 +266,11 @@ class StreamRecordSource : public RecordSource {
   // a dropped connection, a CRC mismatch discovered at DONE.
   void Fail(Status status);
 
-  // Bytes currently buffered (diagnostics/tests).
+  // Bytes currently buffered, and the most ever buffered at once
+  // (diagnostics/tests). The high-water mark stays within the capacity
+  // unless a single append was larger than it.
   size_t buffered() const;
+  size_t peak_buffered() const;
 
  private:
   const size_t capacity_;
@@ -276,6 +279,7 @@ class StreamRecordSource : public RecordSource {
   std::condition_variable can_read_;
   std::deque<std::string> chunks_;
   size_t buffered_ = 0;
+  size_t peak_buffered_ = 0;
   size_t head_consumed_ = 0;  // bytes of chunks_.front() already read
   bool closed_ = false;
   Status error_;

@@ -110,6 +110,9 @@ class NetServer::Connection {
  public:
   Connection(NetServer* server, uint64_t id, TcpConn conn)
       : server_(server), id_(id), conn_(std::move(conn)) {}
+  ~Connection() { Join(); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   void Start() {
     thread_ = std::thread([this] { Run(); });
@@ -199,8 +202,8 @@ void NetServer::Connection::Run() {
         .Str("status", s.ToString());
     SendResult(0, s, 0, 0);
     HalfClose();
-    done_.store(true, std::memory_order_release);
     server_->NoteConnClosed();
+    done_.store(true, std::memory_order_release);
     return;
   }
   if (!hello.tenant.empty()) tenant_ = hello.tenant;
@@ -253,8 +256,10 @@ void NetServer::Connection::Run() {
   }
   ALPHASORT_LOG(kDebug, "svc.conn.close").U64("conn", id_);
   HalfClose();
-  done_.store(true, std::memory_order_release);
+  // done_ goes last: once it is set the accept thread may reap (join)
+  // this thread, so nothing after it may wait on the server's mutex.
   server_->NoteConnClosed();
+  done_.store(true, std::memory_order_release);
 }
 
 // A SUBMIT frame arrived; run the whole job protocol. A non-OK return
@@ -326,7 +331,7 @@ Status NetServer::Connection::ServeOneJob(FrameReader* reader,
   // of serializing through a spool file.
   SortOptions opts = server_->options_.job_defaults;
   opts.input_path.clear();
-  st.stream = std::make_shared<StreamRecordSource>();
+  st.stream = std::make_shared<StreamRecordSource>(kIngestBufferBytes);
   opts.source = [stream = st.stream]() -> std::shared_ptr<RecordSource> {
     return stream;
   };
@@ -555,10 +560,13 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
     return Status::OK();
   }
 
-  // Success: the sorted bytes, DONE with the stream CRC, then the
-  // terminal RESULT — last so its elapsed_us and stage breakdown cover
-  // the stream-back. Socket writes block when the client reads slowly —
-  // TCP backpressure is the flow control.
+  // Success: the sorted bytes, DONE, then the terminal RESULT — last so
+  // its elapsed_us and stage breakdown cover the stream-back. Socket
+  // writes block when the client reads slowly — TCP backpressure is the
+  // flow control. DONE carries the CRC the sort computed as it produced
+  // the output, not a CRC of what is read back here: no second pass over
+  // the bytes, and the client's check then also covers the write to
+  // out_path and this re-read.
   Result<uint64_t> out_size = server_->env_->GetFileSize(st->out_path);
   if (!out_size.ok()) {
     server_->NoteJobResult(false);
@@ -592,7 +600,6 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
         server_->env_->OpenFile(st->out_path, OpenMode::kReadOnly);
     if (!out_file.ok()) return fail(out_file.status(), false);
     std::string chunk;
-    uint32_t crc = 0;
     uint64_t off = 0;
     while (off < total) {
       const size_t want =
@@ -608,13 +615,12 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
           !ws.ok()) {
         return fail(ws, true);
       }
-      crc = Crc32c(chunk.data(), want, crc);
       off += want;
       server_->NoteBytesTx(want);
     }
     DoneFrame done;
     done.total_bytes = total;
-    done.crc32c = crc;
+    done.crc32c = r.metrics.output_crc32c;
     if (Status ws = WriteFrame(&conn_, FrameType::kDone, done.Encode());
         !ws.ok()) {
       return fail(ws, true);
@@ -719,6 +725,7 @@ void NetServer::Connection::CleanupStream(StreamState* st) {
     // live pipeline was already handled (CloseWrite at DONE or Fail on
     // the error paths) — this is a no-op then.
     st->stream->CloseWrite();
+    server_->NoteIngestBufferPeak(st->stream->peak_buffered());
     st->stream.reset();
   }
   if (!st->out_path.empty()) (void)server_->env_->DeleteFile(st->out_path);
@@ -763,8 +770,12 @@ void NetServer::AcceptLoop() {
     Result<TcpConn> accepted = listener_.Accept();
     if (!accepted.ok()) return;  // listener closed: shutting down
 
+    // Declared before the lock, so the finished connections are joined
+    // (destroyed) only after mu_ is released: a connection thread may
+    // still be taking mu_ on its way out.
+    std::vector<std::unique_ptr<Connection>> finished;
     std::unique_lock<std::mutex> lock(mu_);
-    ReapDoneConnsLocked();
+    finished = TakeDoneConnsLocked();
     if (stopping_) return;
     if (stats_.conns_active >= options_.max_conns) {
       // Connection-level backpressure: a full house answers with the
@@ -796,15 +807,18 @@ void NetServer::AcceptLoop() {
   }
 }
 
-void NetServer::ReapDoneConnsLocked() {
+std::vector<std::unique_ptr<NetServer::Connection>>
+NetServer::TakeDoneConnsLocked() {
+  std::vector<std::unique_ptr<Connection>> done;
   for (auto it = conns_.begin(); it != conns_.end();) {
     if (it->second->done()) {
-      it->second->Join();
+      done.push_back(std::move(it->second));
       it = conns_.erase(it);
     } else {
       ++it;
     }
   }
+  return done;
 }
 
 void NetServer::Stop() {
@@ -889,6 +903,11 @@ void NetServer::NoteBytesTx(uint64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.bytes_tx += n;
   BytesTx()->Add(n);
+}
+
+void NetServer::NoteIngestBufferPeak(uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.ingest_buffer_peak = std::max(stats_.ingest_buffer_peak, bytes);
 }
 
 }  // namespace net

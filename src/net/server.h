@@ -84,9 +84,17 @@ struct NetServerStats {
   uint64_t protocol_errors = 0;  // envelope or state-machine violations
   uint64_t bytes_rx = 0;         // DATA payload bytes received
   uint64_t bytes_tx = 0;         // DATA payload bytes sent
+  // The most upload bytes any one job held in its ingest buffer at once;
+  // at most kIngestBufferBytes, or one DATA frame if that is larger.
+  uint64_t ingest_buffer_peak = 0;
   int conns_active = 0;
   int jobs_inflight = 0;  // ingesting, sorting, or streaming back
 };
+
+// Capacity of a job's ingest buffer (the StreamRecordSource its DATA
+// frames feed). A queued job's upload stalls here rather than sitting
+// whole in the buffer as well as in the sort's record block.
+constexpr size_t kIngestBufferBytes = size_t{1} << 20;
 
 class NetServer {
  public:
@@ -117,7 +125,10 @@ class NetServer {
   class Connection;
 
   void AcceptLoop();
-  void ReapDoneConnsLocked();
+  // Moves finished connections out of conns_. The caller joins them
+  // after releasing mu_: never Join() under mu_, which the connection
+  // threads take on their way out.
+  std::vector<std::unique_ptr<Connection>> TakeDoneConnsLocked();
 
   // Stats/instrument updates shared by connection threads; each keeps
   // stats_ and the net.* registry instruments in step under mu_.
@@ -129,6 +140,7 @@ class NetServer {
   void NoteProtocolError();
   void NoteBytesRx(uint64_t n);
   void NoteBytesTx(uint64_t n);
+  void NoteIngestBufferPeak(uint64_t bytes);
 
   Env* const env_;
   const NetServerOptions options_;

@@ -2,9 +2,11 @@
 // net/client.h) over real loopback sockets and an in-memory Env: jobs
 // sort and verify, connections survive well-delivered rejections
 // (quota, capacity, bad DONE), mid-stream disconnects leak nothing,
-// STATUS/CANCEL interleave with an in-flight upload, and protocol
+// STATUS/CANCEL interleave with an in-flight upload, protocol
 // violations (version skew, flipped CRCs) close the connection with a
-// clean RESULT and a counted protocol error.
+// clean RESULT and a counted protocol error, a job's ingest buffer stays
+// within its bound, the stream-back CRC is the sort's own, and
+// connection churn cannot deadlock the accept loop.
 
 #include "net/server.h"
 
@@ -12,7 +14,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +28,7 @@
 #include "common/table.h"
 #include "core/sorter.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -45,14 +52,22 @@ constexpr uint64_t kMB = 1ull << 20;
 // A small server over a fresh MemEnv; every test gets its own.
 class NetServiceTest : public ::testing::Test {
  protected:
-  void StartServer(NetServerOptions opts) {
+  // With a `plan`, the server's Env injects its faults; env_ stays the
+  // MemEnv underneath, so residue checks see the real files.
+  void StartServer(NetServerOptions opts, const FaultPlan* plan = nullptr) {
     env_ = NewMemEnv();
+    Env* server_env = env_.get();
+    if (plan != nullptr) {
+      fault_env_ = std::make_unique<FaultInjectionEnv>(env_.get());
+      fault_env_->SetPlan(*plan);
+      server_env = fault_env_.get();
+    }
     opts.port = 0;
-    server_ = std::make_unique<NetServer>(env_.get(), opts);
+    server_ = std::make_unique<NetServer>(server_env, opts);
     ASSERT_TRUE(server_->Start().ok());
   }
 
-  void StartDefaultServer() {
+  static NetServerOptions DefaultOptions() {
     NetServerOptions opts;
     opts.service.memory_budget = 64 * kMB;
     opts.service.max_running = 2;
@@ -63,8 +78,10 @@ class NetServiceTest : public ::testing::Test {
     opts.job_defaults.io_chunk_bytes = 64 * 1024;
     opts.job_defaults.run_size_records = 4096;
     opts.job_defaults.memory_budget = 8 * kMB;
-    StartServer(opts);
+    return opts;
   }
+
+  void StartDefaultServer() { StartServer(DefaultOptions()); }
 
   int port() const { return server_->port(); }
 
@@ -131,6 +148,7 @@ class NetServiceTest : public ::testing::Test {
   }
 
   std::unique_ptr<Env> env_;
+  std::unique_ptr<FaultInjectionEnv> fault_env_;
   std::unique_ptr<NetServer> server_;
 };
 
@@ -809,6 +827,189 @@ TEST_F(NetServiceTest, ManyConcurrentClients) {
   }
   WaitForCompleted(kClients);
   ExpectNoResidue();
+}
+
+// A job's ingest buffer holds at most kIngestBufferBytes, however large
+// its upload. The second job below waits in the queue behind the
+// first, so nothing drains its buffer while its 5 MB upload arrives:
+// the buffer must fill to its bound and stall the uploader there.
+TEST_F(NetServiceTest, IngestBufferIsBoundedPerJob) {
+  NetServerOptions opts = DefaultOptions();
+  opts.service.max_running = 1;
+  StartServer(opts);
+
+  // Job A holds the only runner: its upload stops short of DONE.
+  const std::vector<char> a = MakeRecords(2000, 1);
+  Result<TcpConn> conn = TcpConnect("127.0.0.1", port());
+  ASSERT_TRUE(conn.ok());
+  auto reader = RawHello(&conn.value(), "a");
+  SubmitFrame submit;
+  submit.expected_bytes = a.size();
+  ASSERT_TRUE(
+      WriteFrame(&conn.value(), FrameType::kSubmit, submit.Encode()).ok());
+  const size_t half = a.size() / 2;
+  ASSERT_TRUE(WriteFrame(&conn.value(), FrameType::kData,
+                         std::string(a.data(), half))
+                  .ok());
+
+  // Job B queues behind A and uploads 5 MB.
+  const std::vector<char> b = MakeRecords(50000, 2);
+  std::string b_sorted;
+  Status b_status;
+  std::thread uploader([&] {
+    SortClient client;
+    NetSortOutcome outcome;
+    b_status = client.Connect("127.0.0.1", port(), "b");
+    if (b_status.ok()) {
+      b_status = client.SubmitSort(SubmitSpec(), b.data(), b.size(),
+                                   &b_sorted, &outcome);
+    }
+    if (b_status.ok()) b_status = outcome.status;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  // Release A, then B runs and drains its buffer.
+  ASSERT_TRUE(WriteFrame(&conn.value(), FrameType::kData,
+                         std::string(a.data() + half, a.size() - half))
+                  .ok());
+  DoneFrame done;
+  done.total_bytes = a.size();
+  done.crc32c = Crc32c(a.data(), a.size());
+  ASSERT_TRUE(
+      WriteFrame(&conn.value(), FrameType::kDone, done.Encode()).ok());
+  uint64_t streamed = 0;
+  ResultFrame result;
+  ASSERT_TRUE(
+      ReadSortedStreamThenResult(reader.get(), &streamed, &result).ok());
+  EXPECT_TRUE(result.ToStatus().ok()) << result.ToStatus().ToString();
+  uploader.join();
+  ASSERT_TRUE(b_status.ok()) << b_status.ToString();
+  ExpectSorted(b, b_sorted);
+
+  conn.value().Close();
+  ExpectNoResidue();
+  const uint64_t peak = server_->stats().ingest_buffer_peak;
+  EXPECT_GT(peak, uint64_t(0));
+  EXPECT_LE(peak, kIngestBufferBytes) << "a job buffered more than its bound";
+}
+
+// DONE carries the CRC the sort computed while writing its output
+// (SortMetrics::output_crc32c), for a one-pass job and a spilled one.
+TEST_F(NetServiceTest, DoneCrcIsTheSortsOutputCrc) {
+  StartDefaultServer();
+  SortClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port(), "t0").ok());
+  const std::vector<char> data = MakeRecords(30000);
+
+  for (const uint64_t budget : {8 * kMB, 1 * kMB}) {
+    // The same sort run in process on the server's Env.
+    ASSERT_TRUE(env_->WriteStringToFile(
+                        "ref.in", std::string(data.data(), data.size()))
+                    .ok());
+    SortOptions opts;
+    opts.input_path = "ref.in";
+    opts.output_path = "ref.out";
+    opts.io_chunk_bytes = 64 * 1024;
+    opts.run_size_records = 4096;
+    opts.memory_budget = budget;
+    Sorter sorter(env_.get());
+    SortJob job = sorter.Start(opts);
+    const SortResult& ref = job.Wait();
+    ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
+    EXPECT_EQ(budget < data.size() ? 2 : 1, ref.metrics.passes);
+    ASSERT_TRUE(env_->DeleteFile("ref.in").ok());
+    ASSERT_TRUE(env_->DeleteFile("ref.out").ok());
+
+    SubmitSpec spec;
+    spec.memory_budget = budget;
+    std::string sorted;
+    NetSortOutcome outcome;
+    ASSERT_TRUE(
+        client.SubmitSort(spec, data.data(), data.size(), &sorted, &outcome)
+            .ok());
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    ExpectSorted(data, sorted);
+    EXPECT_EQ(ref.metrics.output_crc32c, outcome.output_crc32c)
+        << "budget " << budget;
+  }
+  client.Close();
+  ExpectNoResidue();
+}
+
+// Because DONE's CRC comes from the sort, not from re-reading the
+// spooled output, a byte corrupted on its way to disk reaches the
+// client as a CRC failure instead of a "verified" wrong answer.
+TEST_F(NetServiceTest, StreamBackCrcCoversTheSpooledOutput) {
+  FaultPlan plan;
+  FaultSpec corrupt;
+  corrupt.corrupt_write_prob = 1.0;
+  plan.overrides.push_back({".out", corrupt});
+  StartServer(DefaultOptions(), &plan);
+
+  SortClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port(), "t0").ok());
+  const std::vector<char> data = MakeRecords(2000);
+  std::string sorted;
+  NetSortOutcome outcome;
+  Status s =
+      client.SubmitSort(SubmitSpec(), data.data(), data.size(), &sorted,
+                        &outcome);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_GT(fault_env_->corrupt_writes_injected(), uint64_t(0));
+
+  client.Close();
+  ExpectNoResidue();
+}
+
+// Runs `body`, waiting at most `limit`. A NetServer lock-order deadlock
+// leaves threads blocked on the server's mutex for good, so neither the
+// body nor the server's destructor would return: report and end the
+// process rather than hang until the ctest timeout.
+void RunWithWatchdog(std::chrono::seconds limit, const char* what,
+                     const std::function<void()>& body) {
+  std::future<void> finished = std::async(std::launch::async, body);
+  if (finished.wait_for(limit) == std::future_status::timeout) {
+    fprintf(stderr, "FATAL: %s did not finish within %llds (deadlock?)\n",
+            what, static_cast<long long>(limit.count()));
+    fflush(stderr);
+    std::_Exit(1);
+  }
+  finished.get();
+}
+
+// Connection churn: connections close (taking the server's mutex on the
+// way out) while the accept thread reaps finished ones. Reaping must
+// never join a thread under that mutex.
+TEST_F(NetServiceTest, ConnectionChurnNeverDeadlocksTheAcceptLoop) {
+  constexpr int kRounds = 20;
+  constexpr int kThreads = 4;
+  constexpr int kConnsPerThread = 75;
+  // Room for every connection: a server thread that lags behind its
+  // client must not turn into a capacity rejection.
+  NetServerOptions opts = DefaultOptions();
+  opts.max_conns = kRounds * kThreads * kConnsPerThread;
+  StartServer(opts);
+  RunWithWatchdog(std::chrono::seconds(30), "connection churn", [&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([this, t] {
+          for (int i = 0; i < kConnsPerThread; ++i) {
+            Result<TcpConn> conn = TcpConnect("127.0.0.1", port());
+            ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+            // Mostly HELLO-then-close (the orderly exit); every third
+            // hangs up before HELLO (the handshake-error exit).
+            if ((t + i) % 3 != 0) RawHello(&conn.value(), "churn");
+            conn.value().Close();
+          }
+        });
+      }
+      for (auto& th : threads) th.join();
+    }
+    ExpectNoResidue();
+  });
+  EXPECT_EQ(uint64_t(kRounds * kThreads * kConnsPerThread),
+            server_->stats().conns_accepted);
 }
 
 }  // namespace

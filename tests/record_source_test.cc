@@ -284,6 +284,23 @@ TEST_F(RecordSourceTest, StreamSourceTryAppendTimesOutWhenFull) {
   EXPECT_TRUE(accepted);
 }
 
+TEST_F(RecordSourceTest, StreamSourceTracksItsHighWaterMark) {
+  StreamRecordSource source(/*capacity_bytes=*/8);
+  EXPECT_EQ(size_t{0}, source.peak_buffered());
+  ASSERT_TRUE(source.Append("12345", 5));
+  char buf[8];
+  size_t got = 0;
+  ASSERT_TRUE(source.Read(buf, 5, &got).ok());
+  EXPECT_EQ(size_t{0}, source.buffered());
+  EXPECT_EQ(size_t{5}, source.peak_buffered()) << "the mark outlives reads";
+  ASSERT_TRUE(source.Append("1234", 4));
+  ASSERT_TRUE(source.Append("5678", 4));
+  bool accepted = true;
+  ASSERT_TRUE(source.TryAppend("9", 1, /*timeout_ms=*/0, &accepted).ok());
+  EXPECT_FALSE(accepted);
+  EXPECT_EQ(size_t{8}, source.peak_buffered()) << "capped by the capacity";
+}
+
 TEST_F(RecordSourceTest, StreamSourceOversizedChunkAccepted) {
   // One chunk larger than the whole buffer must be accepted when the
   // buffer is empty (rather than deadlocking producer against capacity).

@@ -1,10 +1,12 @@
 #include "common/simd.h"
 
+#include <array>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "record/generator.h"
 #include "record/record.h"
@@ -276,6 +278,115 @@ TEST(SimdParityTest, TieBreaksSkipPrefixDecidedBytesAndStillSort) {
   }
   EXPECT_GT(stats.tie_breaks, 0u);
   EXPECT_EQ(stats.tie_break_bytes_skipped, stats.tie_breaks * 8);
+}
+
+// --- Crc32c: the CRC-32C instruction against the slice-by-8 fallback
+// (the kill switch) and a byte-at-a-time table written out here, so a
+// bug shared by both library paths cannot hide.
+
+uint32_t ReferenceCrc32c(const unsigned char* p, size_t n, uint32_t seed) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) c = kTable[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  return ~c;
+}
+
+uint32_t ScalarCrc32c(const void* p, size_t n, uint32_t seed = 0) {
+  simd::ScopedForceScalar force;
+  return Crc32c(p, n, seed);
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Random rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Next64());
+  return bytes;
+}
+
+TEST(Crc32cParityTest, HardwareGateMatchesBuild) {
+#if defined(__x86_64__) && defined(__SSE4_2__) && \
+    !defined(ALPHASORT_SIMD_FORCE_SCALAR)
+  EXPECT_TRUE(simd::kHasCrc32c);
+#endif
+#if defined(ALPHASORT_SIMD_FORCE_SCALAR)
+  EXPECT_FALSE(simd::kHasCrc32c);
+#endif
+}
+
+// Every length 0..4096 at every misalignment 0..15, cycling the seed
+// through zero, all-ones and arbitrary values (a seed continues a
+// previous CRC, so non-zero seeds are the chained-call case).
+TEST(Crc32cParityTest, MatchesReferenceOnEveryLengthAndAlignment) {
+  const std::vector<unsigned char> bytes = RandomBytes(4096 + 16, 7);
+  const uint32_t kSeeds[] = {0, 0xffffffffu, 0x9e3779b9u, 0x00000001u,
+                             0xdeadbeefu};
+  size_t case_no = 0;
+  for (size_t len = 0; len <= 4096; ++len) {
+    for (size_t misalign = 0; misalign < 16; ++misalign, ++case_no) {
+      const uint32_t seed = kSeeds[case_no % 5];
+      const unsigned char* p = bytes.data() + misalign;
+      const uint32_t want = ReferenceCrc32c(p, len, seed);
+      const uint32_t hw = Crc32c(p, len, seed);
+      const uint32_t sw = ScalarCrc32c(p, len, seed);
+      if (hw != want || sw != want) {
+        FAIL() << "len=" << len << " misalign=" << misalign << " seed="
+               << seed << ": reference " << want << ", default " << hw
+               << ", scalar " << sw;
+      }
+    }
+  }
+}
+
+// Crc32c(b, Crc32c(a)) == Crc32c(a||b) on each path, and across paths:
+// both keep the same register, so a stream may switch mid-way.
+TEST(Crc32cParityTest, ChainedCallsMatchOneCall) {
+  const std::vector<unsigned char> bytes = RandomBytes(10007, 11);
+  const uint32_t whole = ReferenceCrc32c(bytes.data(), bytes.size(), 0);
+  for (const size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                             size_t{9}, size_t{4096}, size_t{5003},
+                             size_t{10006}, size_t{10007}}) {
+    const unsigned char* a = bytes.data();
+    const unsigned char* b = bytes.data() + split;
+    const size_t len_b = bytes.size() - split;
+    EXPECT_EQ(whole, Crc32c(b, len_b, Crc32c(a, split))) << split;
+    EXPECT_EQ(whole, ScalarCrc32c(b, len_b, ScalarCrc32c(a, split)))
+        << split;
+    EXPECT_EQ(whole, ScalarCrc32c(b, len_b, Crc32c(a, split))) << split;
+    EXPECT_EQ(whole, Crc32c(b, len_b, ScalarCrc32c(a, split))) << split;
+  }
+}
+
+// Crc32cCombine's laws hold whichever path produced the inputs.
+TEST(Crc32cParityTest, CombineLawsHoldOnBothPaths) {
+  const std::vector<unsigned char> bytes = RandomBytes(3 * 4099, 13);
+  for (const bool force : {false, true}) {
+    simd::ScopedForceScalar scope(force);
+    const unsigned char* p = bytes.data();
+    const uint32_t a = Crc32c(p, 4099);
+    const uint32_t b = Crc32c(p + 4099, 4099);
+    const uint32_t c = Crc32c(p + 2 * 4099, 4099);
+    // Concatenation.
+    EXPECT_EQ(Crc32cCombine(a, b, 4099), Crc32c(p, 2 * 4099)) << force;
+    // Associativity.
+    EXPECT_EQ(Crc32cCombine(Crc32cCombine(a, b, 4099), c, 4099),
+              Crc32cCombine(a, Crc32cCombine(b, c, 4099), 2 * 4099))
+        << force;
+    EXPECT_EQ(Crc32cCombine(Crc32cCombine(a, b, 4099), c, 4099),
+              ReferenceCrc32c(p, bytes.size(), 0))
+        << force;
+    // The empty string is the identity on both sides.
+    EXPECT_EQ(Crc32c(p, 0), 0u) << force;
+    EXPECT_EQ(Crc32cCombine(a, Crc32c(p, 0), 0), a) << force;
+    EXPECT_EQ(Crc32cCombine(0, a, 4099), a) << force;
+  }
 }
 
 }  // namespace
