@@ -170,6 +170,18 @@ stage_smokes() {
   # breakdown summing to the total, IO percentiles, registry delta, and
   # hardware counters populated or explicitly unavailable.
   ./build/examples/report_lint ci-artifacts/report.json
+  # Schema 1.3: the record block's huge-page bytes must be reported, as
+  # a number or as "unknown" (containers often deny PAGEMAP_SCAN).
+  python3 - ci-artifacts/report.json <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+value = report["memory"]["record_block_huge_page_bytes"]
+assert report["schema_minor"] >= 3, report["schema_minor"]
+assert value == "unknown" or (
+    isinstance(value, (int, float)) and not isinstance(value, bool)
+    and value >= 0), value
+print(f"report: record_block_huge_page_bytes = {value}")
+PY
   # A non-default pass body gets the same phase stages from the shared
   # phase clock: a traced two-pass replacement-selection (vms) sort must
   # show its read and merge phases, and its report must lint.

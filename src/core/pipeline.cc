@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/checksum.h"
+#include "common/huge_pages.h"
 #include "common/table.h"
 #include "core/pipeline_internal.h"
 #include "obs/metrics.h"
@@ -482,12 +483,20 @@ Status RunPasses(SortContext* ctx) {
   // One block and entry array, sized for the first block; later blocks
   // (spill sizing) never exceed it. Raw uninitialized allocation:
   // zero-filling here would touch every page serially, which is exactly
-  // the cost §5 offloads to the workers. Streams skip the prefault — they
-  // rarely fill their optimistic first block.
+  // the cost §5 offloads to the workers. Streams skip the prefault and
+  // the huge-page advice — they rarely fill their optimistic first
+  // block. A known-size block is advised before anything touches it, so
+  // the prefault and the read fault in 2 MiB pages and the gather's
+  // random reads stay within the TLB's reach (docs/perf.md).
   const uint64_t cap0 = ctx->first_block_records;
   std::unique_ptr<char[]> block(resident ? nullptr : new char[cap0 * rec]);
   std::unique_ptr<PrefixEntry[]> entries(new PrefixEntry[cap0]);
   PrefixEntry* const ents = entries.get();
+  if (block != nullptr && ctx->size_known) {
+    obs::MetricsRegistry::Global()
+        ->GetCounter("memory.huge_page_advised_bytes")
+        ->Add(AdviseHugePages(block.get(), cap0 * rec));
+  }
   if (opts.prefault_memory && ctx->size_known) {
     Prefault(ctx, block.get(), cap0 * rec, ents, cap0);
   }
@@ -570,6 +579,12 @@ Status RunPasses(SortContext* ctx) {
   uint64_t n = 0;
   bool eof = false;
   ALPHASORT_RETURN_IF_ERROR(ingest_block(cap0, &n, &eof));
+  // What the kernel granted, not what was asked: read once, with the
+  // first block filled.
+  if (block != nullptr) {
+    ctx->metrics->record_block_huge_page_bytes =
+        HugePageBytes(block.get(), cap0 * rec);
+  }
 
   // The whole input arrived within the first block: one pass, unless a
   // known-size plan already chose two.

@@ -12,10 +12,15 @@ namespace alphasort {
 namespace core_internal {
 
 void JobCore::Finish(Status status) {
-  std::lock_guard<std::mutex> lock(mu);
-  result.status = std::move(status);
-  state = SortJobState::kDone;
-  cv.notify_all();
+  std::vector<std::function<void()>> callbacks;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    result.status = std::move(status);
+    state = SortJobState::kDone;
+    callbacks.swap(on_done);
+    cv.notify_all();
+  }
+  for (auto& fn : callbacks) fn();
 }
 
 void ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
@@ -92,6 +97,17 @@ bool SortJob::TryWait(SortResult* out) {
   if (core_->state != SortJobState::kDone) return false;
   if (out != nullptr) *out = core_->result;
   return true;
+}
+
+void SortJob::OnDone(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> lock(core_->mu);
+    if (core_->state != SortJobState::kDone) {
+      core_->on_done.push_back(std::move(fn));
+      return;
+    }
+  }
+  fn();
 }
 
 Sorter::Sorter(Env* env, const Resources& resources)

@@ -98,7 +98,11 @@ struct JobCore {
   std::condition_variable cv;
   SortJobState state = SortJobState::kQueued;
   SortResult result;
+  // SortJob::OnDone callbacks still waiting for Finish (guarded by mu).
+  std::vector<std::function<void()>> on_done;
 
+  // Publishes the result, wakes waiters, then runs the on_done callbacks
+  // without mu held.
   void Finish(Status status);
 };
 
@@ -134,6 +138,14 @@ class SortJob {
   // Non-blocking: true with `*out` filled (if non-null) when the job is
   // done, false while it is still queued or running.
   bool TryWait(SortResult* out = nullptr);
+
+  // Runs `fn` once the job is done: on the thread that finishes it, or
+  // right here if it already is. `fn` must not block, and it may run
+  // after the caller has moved on, so it should own what it touches.
+  // Lets a caller that multiplexes the job with other events (a
+  // connection also serving its socket) wake on completion instead of
+  // polling TryWait.
+  void OnDone(std::function<void()> fn);
 
   // Point-in-time progress: phase, completion fraction, observed rate,
   // and ETA (obs/progress.h documents the overlap-model accounting).

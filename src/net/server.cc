@@ -517,10 +517,19 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
   const uint64_t wait_begin_us = NowUs();
   {
     obs::TraceSpan wait_span("net.sort_wait", "net");
+    // One poll() on the socket and a doorbell the job rings as it
+    // settles: frames are served as they arrive and completion is seen
+    // at once, with no timer tick. The callback shares ownership of the
+    // doorbell: it may run after this function has returned. Only if no
+    // eventfd could be made does the wait fall back to a 20 ms tick.
+    auto wake = std::make_shared<WakeFd>();
+    job.OnDone([wake] { wake->Signal(); });
+    const int timeout_ms = wake->fd() >= 0 ? -1 : 20;
     while (!job.TryWait()) {
       Frame frame;
       bool got = false;
-      Status ps = reader->Poll(&frame, &got, 20);
+      Status ps = reader->Poll(&frame, &got, timeout_ms, wake->fd());
+      server_->NoteSortWaitWakeup();
       if (!ps.ok()) {
         // The client vanished mid-job: cancel, wait for the service to
         // reap it (scratch swept), clean the output, drop the conn.
@@ -908,6 +917,11 @@ void NetServer::NoteBytesTx(uint64_t n) {
 void NetServer::NoteIngestBufferPeak(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.ingest_buffer_peak = std::max(stats_.ingest_buffer_peak, bytes);
+}
+
+void NetServer::NoteSortWaitWakeup() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.sort_wait_wakeups;
 }
 
 }  // namespace net

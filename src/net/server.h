@@ -87,6 +87,11 @@ struct NetServerStats {
   // The most upload bytes any one job held in its ingest buffer at once;
   // at most kIngestBufferBytes, or one DATA frame if that is larger.
   uint64_t ingest_buffer_peak = 0;
+  // Times a connection waiting on its sort woke up: once per frame that
+  // arrived mid-job (STATUS, CANCEL) and once as the job settled. The
+  // job rings the connection on completion, so an idle wait costs one
+  // wakeup however long the sort runs.
+  uint64_t sort_wait_wakeups = 0;
   int conns_active = 0;
   int jobs_inflight = 0;  // ingesting, sorting, or streaming back
 };
@@ -141,6 +146,7 @@ class NetServer {
   void NoteBytesRx(uint64_t n);
   void NoteBytesTx(uint64_t n);
   void NoteIngestBufferPeak(uint64_t bytes);
+  void NoteSortWaitWakeup();
 
   Env* const env_;
   const NetServerOptions options_;

@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,13 +65,16 @@ Status TcpConn::ReadSome(char* out, size_t n, size_t* bytes_read) {
   }
 }
 
-bool TcpConn::Readable(int timeout_ms) {
+bool TcpConn::Readable(int timeout_ms, int wake_fd) {
   if (fd_ < 0) return false;
-  struct pollfd pfd = {};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  const int r = ::poll(&pfd, 1, timeout_ms);
-  return r > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+  // poll() skips an entry with a negative fd, so no wake_fd is one fd.
+  struct pollfd pfd[2] = {};
+  pfd[0].fd = fd_;
+  pfd[0].events = POLLIN;
+  pfd[1].fd = wake_fd;
+  pfd[1].events = POLLIN;
+  const int r = ::poll(pfd, 2, timeout_ms);
+  return r > 0 && (pfd[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
 }
 
 void TcpConn::SetNoDelay() {
@@ -84,6 +88,20 @@ void TcpConn::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+WakeFd::WakeFd() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+
+WakeFd::~WakeFd() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void WakeFd::Signal() {
+  if (fd_ < 0) return;
+  const uint64_t one = 1;
+  // Only a counter at its maximum refuses the write, and that is
+  // readable already.
+  (void)!::write(fd_, &one, sizeof(one));
 }
 
 Status TcpListener::Listen(const std::string& host, int port, int backlog) {
@@ -206,11 +224,12 @@ Status FrameReader::Read(Frame* out) {
   }
 }
 
-Status FrameReader::Poll(Frame* out, bool* got, int timeout_ms) {
+Status FrameReader::Poll(Frame* out, bool* got, int timeout_ms,
+                         int wake_fd) {
   *got = false;
   ALPHASORT_RETURN_IF_ERROR(decoder_.Next(out, got));
   if (*got) return Status::OK();
-  if (!conn_->Readable(timeout_ms)) return Status::OK();
+  if (!conn_->Readable(timeout_ms, wake_fd)) return Status::OK();
   char buf[16 * 1024];
   size_t n = 0;
   ALPHASORT_RETURN_IF_ERROR(conn_->ReadSome(buf, sizeof(buf), &n));

@@ -41,16 +41,39 @@ class TcpConn {
   // Reads up to n bytes; *bytes_read = 0 with OK means orderly EOF.
   Status ReadSome(char* out, size_t n, size_t* bytes_read);
 
-  // True when a read would not block within timeout_ms (0 = poll once).
-  // Used by the server to service interleaved STATUS/CANCEL frames
-  // while a sort job runs.
-  bool Readable(int timeout_ms);
+  // True when a read would not block within timeout_ms (0 = poll once,
+  // -1 = no limit). With a `wake_fd` (see WakeFd), the wait also ends,
+  // returning false, as soon as that fd turns readable. Used by the
+  // server to service interleaved STATUS/CANCEL frames while a sort job
+  // runs.
+  bool Readable(int timeout_ms, int wake_fd = -1);
 
   // Disables Nagle so small frames (STATUS, RESULT) don't wait behind
   // the 40ms delayed-ack dance.
   void SetNoDelay();
 
   void Close();
+
+ private:
+  int fd_ = -1;
+};
+
+// A doorbell another thread rings: once Signal() is called, fd() polls
+// readable for good. Lets one poll() wait on a socket and an event — a
+// sort job settling — together. An eventfd; fd() is -1 when none could
+// be made.
+class WakeFd {
+ public:
+  WakeFd();
+  ~WakeFd();
+
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  int fd() const { return fd_; }
+
+  // Safe from any thread, any number of times.
+  void Signal();
 
  private:
   int fd_ = -1;
@@ -108,10 +131,11 @@ class FrameReader {
   Status Read(Frame* out);
 
   // Bounded-wait variant: drains already-buffered bytes first, then
-  // waits at most timeout_ms for more. *got=false with OK means no
+  // waits at most timeout_ms (-1 = no limit) for more, or until
+  // `wake_fd` (if any) turns readable. *got=false with OK means no
   // complete frame arrived in time. EOF and decode errors map exactly
   // as in Read().
-  Status Poll(Frame* out, bool* got, int timeout_ms);
+  Status Poll(Frame* out, bool* got, int timeout_ms, int wake_fd = -1);
 
  private:
   TcpConn* conn_;

@@ -212,6 +212,10 @@ std::string SortReport::ToJson() const {
       U64(m.scratch_bytes_written).c_str(), U64(m.io_retries).c_str(),
       U64(m.io_retries_recovered).c_str(),
       U64(m.io_retries_exhausted).c_str());
+  out += StrFormat("\"memory\":{\"record_block_huge_page_bytes\":%s},",
+                   m.record_block_huge_page_bytes
+                       ? U64(*m.record_block_huge_page_bytes).c_str()
+                       : "\"unknown\"");
   AppendRegistry(m.registry_delta, &out);
   out += ",";
   AppendPerf(m.perf, &out);
@@ -345,6 +349,19 @@ Status ValidateSortReportJson(const std::string& json) {
                        {"ops", "bytes", "p50_us", "p95_us", "p99_us",
                         "max_us"},
                        &status);
+      }
+    }
+  }
+  // Since schema 1.3: the record block's huge-page-backed bytes, a
+  // number or the string "unknown" (never 0 standing in for unknown).
+  const JsonValue* minor = root.Find("schema_minor");
+  if (minor != nullptr && minor->IsNumber() && minor->number_value >= 3) {
+    if (const JsonValue* mem = RequireObject(root, "memory", &status)) {
+      const JsonValue* huge = mem->Find("record_block_huge_page_bytes");
+      if (huge == nullptr ||
+          !(huge->IsNumber() ||
+            (huge->IsString() && huge->string_value == "unknown"))) {
+        return Missing("memory.record_block_huge_page_bytes");
       }
     }
   }

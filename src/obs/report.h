@@ -30,12 +30,13 @@ namespace obs {
 // `schema_minor` records additive revisions within a major version
 // (minor 1: registry.gauges is always present; minor 2:
 // hardware_counters.regions is keyed by the trace span names, e.g.
-// "quicksort.run", "sort.merge_phase", "sort.run").
+// "quicksort.run", "sort.merge_phase", "sort.run"; minor 3:
+// memory.record_block_huge_page_bytes, a number or "unknown").
 
 // One sort's full report.
 struct SortReport {
   static constexpr int kSchemaVersion = 1;
-  static constexpr int kSchemaVersionMinor = 2;
+  static constexpr int kSchemaVersionMinor = 3;
   static constexpr const char* kKind = "alphasort.sort_report";
 
   std::string tool;    // producing binary, e.g. "asort"

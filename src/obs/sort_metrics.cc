@@ -62,6 +62,11 @@ std::string SortMetrics::ToString() const {
   out += StrFormat("merge: %llu compares, %llu tie-breaks\n",
                    static_cast<unsigned long long>(merge_stats.compares),
                    static_cast<unsigned long long>(merge_stats.tie_breaks));
+  out += StrFormat(
+      "record block on huge pages: %s\n",
+      record_block_huge_page_bytes
+          ? StrFormat("%.1f MB", *record_block_huge_page_bytes / 1e6).c_str()
+          : "unknown");
   if (passes == 2) {
     out += StrFormat("scratch: %.1f MB written, %llu run checksum(s) "
                      "verified\n",

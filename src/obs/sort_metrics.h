@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.h"
@@ -61,6 +62,15 @@ struct SortMetrics {
 
   SortStats quicksort_stats;
   SortStats merge_stats;
+
+  // Bytes of the record block that transparent huge pages back, as the
+  // kernel's page tables report them once the first block is read
+  // (common/huge_pages.h; the pipeline advises a known-size block's
+  // 2 MiB-aligned interior). What was granted, not what was asked.
+  // std::nullopt — "unknown" in reports — when the kernel cannot say, or
+  // when the sort had no record block to measure (a resident source, or
+  // a pass body other than the default: vms, hypercube, merge).
+  std::optional<uint64_t> record_block_huge_page_bytes;
 
   // Fault-tolerance telemetry (docs/fault_tolerance.md). Retry counts
   // come from the RetryEnv the pipeline wraps around the caller's Env:

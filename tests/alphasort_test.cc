@@ -1,3 +1,4 @@
+#include <fstream>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -6,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/datamation.h"
+#include "common/huge_pages.h"
 #include "core/alphasort.h"
+#include "core/record_source.h"
 #include "core/vms_sort.h"
 #include "io/fault_env.h"
 #include "io/stripe.h"
@@ -264,6 +267,70 @@ TEST(AlphaSortTest, PrefaultAndAffinityOptionsAreHarmless) {
     ASSERT_TRUE(e2e.Sort().ok());
     EXPECT_TRUE(e2e.Validate().ok()) << "prefault=" << prefault;
   }
+}
+
+constexpr const char* kAdvisedCounter = "memory.huge_page_advised_bytes";
+
+// True when the kernel grants transparent huge pages to an madvise()d
+// range and reports them through PAGEMAP_SCAN.
+bool HugePagesObservable() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(f, mode);
+  if (mode.find("[always]") == std::string::npos &&
+      mode.find("[madvise]") == std::string::npos) {
+    return false;
+  }
+  const char probe = 0;
+  return HugePageBytes(&probe, 1).has_value();
+}
+
+// A known-size one-pass sort advises its record block's 2 MiB-aligned
+// interior before the prefault touches it, and the kernel backs the block
+// with huge pages (paper §4: the gather's random reads; §5: the sweep).
+TEST(AlphaSortTest, KnownSizeRecordBlockGetsHugePages) {
+  if (!HugePagesObservable()) {
+    GTEST_SKIP() << "transparent huge pages off or PAGEMAP_SCAN missing";
+  }
+  EndToEnd e2e;
+  const uint64_t records = (64u << 20) / 100;  // 64 MB
+  ASSERT_TRUE(
+      e2e.Prepare(records, KeyDistribution::kUniform, /*striped=*/false)
+          .ok());
+  e2e.opts.num_workers = 2;
+  ASSERT_TRUE(e2e.Sort().ok());
+  EXPECT_EQ(e2e.metrics.passes, 1);
+  EXPECT_GE(e2e.metrics.registry_delta.counters[kAdvisedCounter],
+            60u << 20);
+  ASSERT_TRUE(e2e.metrics.record_block_huge_page_bytes.has_value());
+  EXPECT_GT(*e2e.metrics.record_block_huge_page_bytes, 0u);
+  EXPECT_LE(*e2e.metrics.record_block_huge_page_bytes, records * 100);
+  EXPECT_TRUE(e2e.Validate().ok());
+}
+
+// A stream's size is unknown and its optimistic first block mostly stays
+// untouched, so it is never advised.
+TEST(AlphaSortTest, StreamSourceRecordBlockIsNotAdvised) {
+  EndToEnd e2e;
+  ASSERT_TRUE(
+      e2e.Prepare(20000, KeyDistribution::kUniform, /*striped=*/false)
+          .ok());
+  Result<std::string> input = e2e.env->ReadFileToString(e2e.opts.input_path);
+  ASSERT_TRUE(input.ok());
+  auto stream = std::make_shared<StreamRecordSource>(input.value().size());
+  ASSERT_TRUE(stream->Append(input.value().data(), input.value().size()));
+  stream->CloseWrite();
+  const std::string input_path = e2e.opts.input_path;
+  e2e.opts.input_path.clear();
+  e2e.opts.source = [stream] { return stream; };
+  // A first block of ~32 MB: plenty of whole huge pages to advise.
+  e2e.opts.memory_budget = 32u << 20;
+  const Status s = e2e.Sort();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(e2e.metrics.passes, 1);
+  EXPECT_EQ(e2e.metrics.registry_delta.counters[kAdvisedCounter], 0u);
+  e2e.opts.input_path = input_path;
+  EXPECT_TRUE(e2e.Validate().ok());
 }
 
 TEST(AlphaSortTest, MemoryBudgetBoundaryPicksPassesCorrectly) {

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 #include "common/bytes.h"
 #include "common/checksum.h"
+#include "common/huge_pages.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "common/slice.h"
@@ -278,6 +283,108 @@ TEST(TextTableTest, AlignsColumns) {
 TEST(TextTableTest, StrFormatFormats) {
   EXPECT_EQ(StrFormat("%d-%s-%.2f", 7, "x", 1.5), "7-x-1.50");
   EXPECT_EQ(StrFormat("empty"), "empty");
+}
+
+// Huge-page advice covers exactly the whole 2 MiB pages inside a block.
+const void* At(uintptr_t addr) { return reinterpret_cast<const void*>(addr); }
+constexpr uintptr_t kMiB = uintptr_t{1} << 20;
+constexpr uintptr_t kBase = uintptr_t{1} << 30;  // 2 MiB-aligned
+
+TEST(HugePagesTest, BlockUnderTwoMiBHasNoInterior) {
+  EXPECT_EQ(HugePageInterior(At(kBase), 2 * kMiB - 1).bytes(), 0u);
+  EXPECT_EQ(HugePageInterior(At(kBase + 4096), kMiB).bytes(), 0u);
+  EXPECT_EQ(HugePageInterior(At(kBase), 0).bytes(), 0u);
+  // Two MiB that straddle a boundary still cover no whole huge page.
+  EXPECT_EQ(HugePageInterior(At(kBase + kMiB), 2 * kMiB).bytes(), 0u);
+  std::vector<char> small(kMiB);
+  EXPECT_EQ(AdviseHugePages(small.data(), small.size()), 0u);
+}
+
+TEST(HugePagesTest, UnalignedEndsAreTrimmedToWholePages) {
+  const AddressRange r = HugePageInterior(At(kBase + 4096), 10 * kMiB);
+  EXPECT_EQ(r.begin, kBase + 2 * kMiB);
+  EXPECT_EQ(r.end, kBase + 10 * kMiB);
+  EXPECT_EQ(r.bytes(), 8 * kMiB);
+  // Unaligned start, aligned end; aligned start, unaligned end.
+  EXPECT_EQ(HugePageInterior(At(kBase + 100), 6 * kMiB - 100).bytes(),
+            4 * kMiB);
+  EXPECT_EQ(HugePageInterior(At(kBase), 6 * kMiB + 100).bytes(), 6 * kMiB);
+}
+
+TEST(HugePagesTest, ExactMultiplesAreCoveredWhole) {
+  for (uintptr_t pages : {1, 2, 3, 100}) {
+    const AddressRange r = HugePageInterior(At(kBase), pages * 2 * kMiB);
+    EXPECT_EQ(r.begin, kBase);
+    EXPECT_EQ(r.end, kBase + pages * 2 * kMiB);
+  }
+}
+
+TEST(HugePagesTest, AdviceOnAHeapBlockIsTheInteriorOrNothing) {
+  std::vector<char> block(9 * kMiB);
+  const size_t advised = AdviseHugePages(block.data(), block.size());
+  const size_t interior = HugePageInterior(block.data(), block.size()).bytes();
+  EXPECT_GE(interior, 6 * kMiB);
+  // Nothing when the kernel refuses (no THP support); never a partial
+  // range.
+  EXPECT_TRUE(advised == 0 || advised == interior) << advised;
+}
+
+#if defined(__linux__)
+// madvise on a range with nothing mapped fails with ENOMEM; the helper
+// reports nothing advised instead of an error.
+TEST(HugePagesTest, RefusedAdviceIsTolerated) {
+  const size_t len = 8 * kMiB;
+  void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  ASSERT_EQ(munmap(p, len), 0);
+  EXPECT_EQ(AdviseHugePages(p, len), 0u);
+}
+// Every other 2 MiB page touched: more separate huge stretches than one
+// PAGEMAP_SCAN call returns, so the scan must resume where it stopped.
+// The whole-range count must equal the sum of per-page counts.
+TEST(HugePagesTest, GrantedBytesSurviveAFragmentedScan) {
+  constexpr size_t kPages = 80;
+  const size_t len = (kPages + 1) * kHugePageBytes;
+  void* map = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  char* base = reinterpret_cast<char*>(
+      HugePageInterior(map, len).begin);
+  AdviseHugePages(base, kPages * kHugePageBytes);
+  for (size_t page = 0; page < kPages; page += 2) {
+    memset(base + page * kHugePageBytes, 1, kHugePageBytes);
+  }
+  const std::optional<uint64_t> whole =
+      HugePageBytes(base, kPages * kHugePageBytes);
+  if (whole) {
+    uint64_t sum = 0;
+    for (size_t page = 0; page < kPages; ++page) {
+      const std::optional<uint64_t> one =
+          HugePageBytes(base + page * kHugePageBytes, kHugePageBytes);
+      ASSERT_TRUE(one.has_value());
+      if (page % 2 == 1) {
+        EXPECT_EQ(*one, 0u) << "untouched page " << page;
+      }
+      sum += *one;
+    }
+    EXPECT_EQ(*whole, sum);
+  }
+  ASSERT_EQ(munmap(map, len), 0);
+}
+#endif
+
+TEST(HugePagesTest, GrantedBytesAreKnownOrUnknownNeverGuessed) {
+  const std::optional<uint64_t> empty = HugePageBytes(nullptr, 0);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(*empty, 0u);
+  // Whatever backs the block, the count is clipped to its pages.
+  std::vector<char> block(4 * kMiB, 1);
+  const std::optional<uint64_t> huge =
+      HugePageBytes(block.data(), block.size());
+  if (huge) {
+    EXPECT_LE(*huge, block.size() + 4096);
+  }
 }
 
 }  // namespace

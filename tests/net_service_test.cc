@@ -496,6 +496,99 @@ TEST_F(NetServiceTest, AnswersStatusDuringUpload) {
   ExpectNoResidue();
 }
 
+// A connection waiting on its sort sleeps until a frame arrives or the
+// job settles, instead of waking on a timer: job B sits queued behind job
+// A (one runner; A's upload is held open), and while B's connection
+// idles it does not wake at all. STATUS is still answered mid-wait, and
+// each connection wakes once more as its job settles.
+TEST_F(NetServiceTest, SortWaitWakesOnCompletionNotOnATick) {
+  NetServerOptions opts = DefaultOptions();
+  opts.service.max_running = 1;
+  StartServer(opts);
+
+  // Job A: admitted and running, its upload half sent.
+  const std::vector<char> data_a = MakeRecords(2000, 1);
+  Result<TcpConn> conn_a = TcpConnect("127.0.0.1", port());
+  ASSERT_TRUE(conn_a.ok());
+  auto reader_a = RawHello(&conn_a.value(), "t0");
+  SubmitFrame submit_a;
+  submit_a.expected_bytes = data_a.size();
+  ASSERT_TRUE(
+      WriteFrame(&conn_a.value(), FrameType::kSubmit, submit_a.Encode())
+          .ok());
+  const size_t half = data_a.size() / 2;
+  ASSERT_TRUE(WriteFrame(&conn_a.value(), FrameType::kData,
+                         std::string(data_a.data(), half))
+                  .ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->service_stats().running < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(1, server_->service_stats().running);
+
+  // Job B: fully uploaded, then queued behind A.
+  const std::vector<char> data_b = MakeRecords(1000, 2);
+  Result<TcpConn> conn_b = TcpConnect("127.0.0.1", port());
+  ASSERT_TRUE(conn_b.ok());
+  auto reader_b = RawHello(&conn_b.value(), "t1");
+  SubmitFrame submit_b;
+  submit_b.expected_bytes = data_b.size();
+  ASSERT_TRUE(
+      WriteFrame(&conn_b.value(), FrameType::kSubmit, submit_b.Encode())
+          .ok());
+  ASSERT_TRUE(WriteFrame(&conn_b.value(), FrameType::kData,
+                         std::string(data_b.data(), data_b.size()))
+                  .ok());
+  DoneFrame done_b;
+  done_b.total_bytes = data_b.size();
+  done_b.crc32c = Crc32c(data_b.data(), data_b.size());
+  ASSERT_TRUE(
+      WriteFrame(&conn_b.value(), FrameType::kDone, done_b.Encode()).ok());
+
+  // Frames are served in order, so a STATUS reply after DONE means B's
+  // connection is in its sort wait.
+  StatusRequestFrame ask;
+  ASSERT_TRUE(
+      WriteFrame(&conn_b.value(), FrameType::kStatus, ask.Encode()).ok());
+  Frame f;
+  ASSERT_TRUE(ExpectFrame(reader_b.get(), FrameType::kStatus, &f).ok());
+  StatusReplyFrame reply;
+  ASSERT_TRUE(reply.Decode(f.payload).ok());
+  EXPECT_EQ(uint64_t(2), reply.net_jobs_inflight);
+
+  // An idle wait does not wake, however long the job stays queued (a
+  // 20 ms tick would wake it ~10 times here).
+  const uint64_t before = server_->stats().sort_wait_wakeups;
+  EXPECT_GE(before, uint64_t(1));  // the STATUS
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(before, server_->stats().sort_wait_wakeups);
+
+  // Release A; both jobs finish and stream back.
+  ASSERT_TRUE(WriteFrame(&conn_a.value(), FrameType::kData,
+                         std::string(data_a.data() + half,
+                                     data_a.size() - half))
+                  .ok());
+  DoneFrame done_a;
+  done_a.total_bytes = data_a.size();
+  done_a.crc32c = Crc32c(data_a.data(), data_a.size());
+  ASSERT_TRUE(
+      WriteFrame(&conn_a.value(), FrameType::kDone, done_a.Encode()).ok());
+  for (FrameReader* reader : {reader_a.get(), reader_b.get()}) {
+    uint64_t streamed = 0;
+    ResultFrame result;
+    ASSERT_TRUE(ReadSortedStreamThenResult(reader, &streamed, &result).ok());
+    EXPECT_TRUE(result.ToStatus().ok()) << result.ToStatus().ToString();
+  }
+  // At most one more wakeup per connection: its job settling.
+  EXPECT_LE(server_->stats().sort_wait_wakeups, before + 2);
+
+  conn_a.value().Close();
+  conn_b.value().Close();
+  ExpectNoResidue();
+}
+
 TEST_F(NetServiceTest, CancelDuringUploadAbortsAndConnSurvives) {
   StartDefaultServer();
   Result<TcpConn> conn = TcpConnect("127.0.0.1", port());

@@ -162,6 +162,43 @@ TEST(SortReportTest, RejectsMissingVersionAndWrongKind) {
   EXPECT_FALSE(ValidateSortReportJson("not json").ok());
 }
 
+// Schema 1.3: the record block's huge-page bytes are a number when the
+// kernel reported them and the string "unknown" otherwise — never 0 for
+// unknown — and a minor-3 report without the key does not validate.
+TEST(SortReportTest, HugePageBytesAreANumberOrUnknown) {
+  SortReport report = FabricatedReport();
+  report.metrics.record_block_huge_page_bytes = 198u << 20;
+  JsonValue v;
+  ASSERT_TRUE(ParseJson(report.ToJson(), &v).ok());
+  EXPECT_DOUBLE_EQ(v.Find("schema_minor")->number_value, 3.0);
+  const JsonValue* huge =
+      v.Find("memory")->Find("record_block_huge_page_bytes");
+  ASSERT_TRUE(huge->IsNumber());
+  EXPECT_DOUBLE_EQ(huge->number_value, double(198u << 20));
+  EXPECT_TRUE(ValidateSortReportJson(report.ToJson()).ok());
+
+  report.metrics.record_block_huge_page_bytes.reset();
+  const std::string json = report.ToJson();
+  ASSERT_TRUE(ParseJson(json, &v).ok());
+  huge = v.Find("memory")->Find("record_block_huge_page_bytes");
+  ASSERT_TRUE(huge->IsString());
+  EXPECT_EQ(huge->string_value, "unknown");
+  EXPECT_TRUE(ValidateSortReportJson(json).ok());
+
+  std::string dropped = json;
+  const std::string key = "\"memory\":{\"record_block_huge_page_bytes\":"
+                          "\"unknown\"},";
+  const size_t pos = dropped.find(key);
+  ASSERT_NE(pos, std::string::npos);
+  dropped.erase(pos, key.size());
+  EXPECT_FALSE(ValidateSortReportJson(dropped).ok());
+
+  std::string mistyped = json;
+  mistyped.replace(mistyped.find("\"unknown\"}"), strlen("\"unknown\""),
+                   "\"none\"");
+  EXPECT_FALSE(ValidateSortReportJson(mistyped).ok());
+}
+
 TEST(SortReportTest, RejectsPhaseSumDisagreeingWithTotal) {
   SortReport report = FabricatedReport();
   // A phase that went untimed: parts account for half the total.

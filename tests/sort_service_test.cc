@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -224,10 +225,21 @@ TEST(SortServiceTest, CancelQueuedJobNeverRuns) {
   SortJob queued_handle = std::move(queued).value();
   EXPECT_EQ(queued_handle.state(), SortJobState::kQueued);
 
+  // OnDone fires for a job that settles without ever running...
+  auto settled = std::make_shared<std::promise<void>>();
+  std::future<void> settled_future = settled->get_future();
+  queued_handle.OnDone([settled] { settled->set_value(); });
+
   queued_handle.Cancel();
   const SortResult& r = queued_handle.Wait();
   EXPECT_TRUE(r.status.IsAborted()) << r.status.ToString();
   EXPECT_FALSE(mem->FileExists("out_01.dat"));
+  EXPECT_EQ(settled_future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  // ...and runs right away once the job is done.
+  bool ran_inline = false;
+  queued_handle.OnDone([&ran_inline] { ran_inline = true; });
+  EXPECT_TRUE(ran_inline);
 
   EXPECT_TRUE(slow_handle.Wait().status.ok());
   const svc::SortServiceStats stats = service.stats();
