@@ -57,7 +57,7 @@ struct Args {
   size_t key_size = 10;
   size_t key_offset = 0;
   int workers = 0;
-  int merge_parallelism = -1;  // -1 = auto (workers + 1 key ranges)
+  int merge_parallelism = -1;  // -1 = auto (2 × workers key ranges)
   long prefetch_distance = -1;  // -1 = library default, 0 = disable
   uint64_t memory_mb = 256;
   std::string algorithm = "alphasort";

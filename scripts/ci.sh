@@ -114,19 +114,21 @@ stage_sanitizers() {
   echo "=== sanitizers: TSan over the concurrency-heavy suites ==="
   # The suites where threads actually share state: the async IO
   # scheduler, the chore pool + full pipeline, retries racing IO
-  # threads, the partitioned merge's concurrent range merges, the fault
-  # campaign's storm of concurrent sorts, and the networked service's
-  # connection threads against the shared SortService.
+  # threads, the partitioned merge's concurrent range merges (whose
+  # two-pass ranges share run files and the AIO pool: the pipeline
+  # matrix's spill cells), the fault campaign's storm of concurrent
+  # sorts, and the networked service's connection threads against the
+  # shared SortService.
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
     async_io_test chores_test alphasort_test merge_partition_test \
-    retry_env_test fault_campaign_test obs_test throttled_env_test \
-    sort_service_test net_service_test
+    pipeline_matrix_test retry_env_test fault_campaign_test obs_test \
+    throttled_env_test sort_service_test net_service_test
   run_ctest build-tsan -R \
-    '^(async_io_test|chores_test|alphasort_test|merge_partition_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
+    '^(async_io_test|chores_test|alphasort_test|merge_partition_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
 }
 
 # --- stage: smokes ---------------------------------------------------
@@ -192,6 +194,23 @@ PY
   ./build/examples/trace_lint ci-artifacts/trace_vms.json \
     --require read_phase --require merge_phase --require-job sort.run
   ./build/examples/report_lint ci-artifacts/report_vms.json
+  # The default body's two-pass sort with workers: its scratch runs are
+  # merged in key ranges, each range a merge.range stage of its own, and
+  # the report must say the final merge split.
+  ./build/examples/asort --mem --gen-records 300000 --memory-mb 8 \
+    --workers 3 --in smoke_2p_in.dat --out smoke_2p_out.dat \
+    --trace=ci-artifacts/trace_twopass.json \
+    --report=ci-artifacts/report_twopass.json --verify
+  ./build/examples/trace_lint ci-artifacts/trace_twopass.json \
+    --require merge.range --require merge_phase
+  ./build/examples/report_lint ci-artifacts/report_twopass.json
+  python3 - ci-artifacts/report_twopass.json <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["passes"] == 2, report["passes"]
+assert report["merge_ranges"] > 1, report["merge_ranges"]
+print(f"report: two-pass merge_ranges = {report['merge_ranges']}")
+PY
 
   echo
   echo "=== service smoke: 4 concurrent jobs + a cancel under one budget ==="

@@ -4,10 +4,12 @@
 #include <memory>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/table.h"
 #include "core/pipeline_internal.h"
 #include "core/run_reader.h"
 #include "obs/perf_counters.h"
+#include "sort/merge_partition.h"
 #include "sort/merger.h"
 #include "sort/tournament_tree.h"
 
@@ -65,101 +67,153 @@ void ScratchSweeper::Sweep() {
 
 namespace {
 
-// Streams `runs` through a tournament of RunReaders into `out`, verifying
-// each run's CRC-32C as it drains. On return the ring is finished, or
-// aborted on error.
-Status MergeScratchRunsToWriter(SortContext* ctx,
-                                const std::vector<ScratchRun>& runs,
-                                BufferedWriter* out) {
-  const SortOptions& opts = *ctx->options;
-  const RecordFormat& fmt = opts.format;
-  const size_t k = runs.size();
+// One key range of a scratch-run merge: a loser tree over the range's
+// slice of every run (empty slices kept, so stream numbers — and the
+// equal-key tie-break — match one global tournament), records copied
+// straight into the batch. Once the range drains, each slice's CRC-32C
+// lands in `slice_crc`.
+class ScratchRangeProducer : public RangeProducer {
+ public:
+  ScratchRangeProducer(SortContext* ctx, size_t k, SortStats* stats,
+                       std::vector<uint32_t>* slice_crc)
+      : ctx_(ctx),
+        fmt_(ctx->options->format),
+        tree_(k == 0 ? 1 : k, CountingEntryLess{fmt_, stats}),
+        slice_crc_(slice_crc) {}
 
-  std::vector<std::unique_ptr<File>> files(k);
-  std::vector<std::unique_ptr<RunReader>> readers(k);
-  // Each run gets two read-ahead buffers; at wide fan-ins the buffers
-  // must shrink so the merge stays within the memory budget (§6: the
-  // two-pass sort's whole point is using less memory).
-  const uint64_t per_run_budget =
-      k == 0 ? opts.io_chunk_bytes
-             : std::max<uint64_t>(fmt.record_size,
-                                  opts.memory_budget / (2 * k));
-  const size_t buffer_records = static_cast<size_t>(std::max<uint64_t>(
-      1, std::min<uint64_t>(opts.io_chunk_bytes, per_run_budget) /
-             fmt.record_size));
-  for (size_t r = 0; r < k; ++r) {
-    Result<std::unique_ptr<File>> f =
-        OpenScratchRun(ctx, runs[r].path, OpenMode::kReadOnly);
-    ALPHASORT_RETURN_IF_ERROR(f.status());
-    files[r] = std::move(f).value();
-    readers[r] = std::make_unique<RunReader>(files[r].get(), runs[r].bytes,
-                                             fmt, buffer_records, ctx->aio);
-    ALPHASORT_RETURN_IF_ERROR(readers[r]->Init());
+  // Adds the next run's slice, the bytes [begin, end) of `file`, read
+  // through two buffers of `buffer_records` records.
+  Status AddSlice(File* file, uint64_t begin, uint64_t end,
+                  size_t buffer_records) {
+    const size_t s = readers_.size();
+    readers_.push_back(std::make_unique<RunReader>(
+        file, end, fmt_, buffer_records, ctx_->aio, begin));
+    ALPHASORT_RETURN_IF_ERROR(readers_[s]->Init());
+    if (const char* rec = readers_[s]->Current()) {
+      tree_.SetLeaf(s, MakePrefixEntry(fmt_, rec));
+    }
+    return Status::OK();
   }
 
-  LoserTree<PrefixEntry, CountingEntryLess> tree(
-      k == 0 ? 1 : k, CountingEntryLess{fmt, &ctx->metrics->merge_stats});
-  for (size_t r = 0; r < k; ++r) {
-    if (const char* rec = readers[r]->Current()) {
-      tree.SetLeaf(r, MakePrefixEntry(fmt, rec));
-    }
-  }
-  tree.Rebuild();
+  void Start() { tree_.Rebuild(); }
 
-  // Copy winners straight into the ring's buffers. Records are copied
-  // immediately (their reader buffer may recycle on the next refill), so
-  // the gather is serial on the root here — the merge pass is disk-bound
-  // anyway (§6: a second pass "uses twice the disk bandwidth").
-  auto abandon = [out](Status why) {
-    out->Abort();
-    return why;
-  };
-  while (!tree.Empty()) {
-    // Cancellation/deadline poll, once per merge output batch.
-    if (Status ctl = CheckControl(ctx); !ctl.ok()) return abandon(ctl);
-    char* buf = nullptr;
-    size_t room = 0;
-    {
-      // Output seal step, kept out of the "merge.batch" stage so that
-      // stage stays a pure tournament measurement (docs/perf.md).
-      obs::Stage stage(&ctx->perf, "merge.seal", "io");
-      if (Status s = out->Acquire(&buf, &room); !s.ok()) return abandon(s);
-    }
-    size_t fill = 0;
-    {
-      obs::Stage stage(&ctx->perf, "merge.batch", "cpu");
-      while (fill < room && !tree.Empty()) {
-        const size_t r = tree.WinnerStream();
-        memcpy(buf + fill, tree.WinnerItem().record, fmt.record_size);
-        fill += fmt.record_size;
-        Status s = readers[r]->Advance();
-        if (!s.ok()) return abandon(s);
-        if (const char* rec = readers[r]->Current()) {
-          tree.ReplaceWinner(MakePrefixEntry(fmt, rec));
-        } else {
-          tree.ExhaustWinner();
-        }
+  Status Fill(char* out, size_t n) override {
+    obs::Stage stage(&ctx_->perf, "merge.batch", "cpu");
+    const size_t rec_size = fmt_.record_size;
+    for (size_t i = 0; i < n; ++i) {
+      // Copy before advancing: the reader's buffer may recycle.
+      const size_t s = tree_.WinnerStream();
+      memcpy(out + i * rec_size, tree_.WinnerItem().record, rec_size);
+      ALPHASORT_RETURN_IF_ERROR(readers_[s]->Advance());
+      if (const char* rec = readers_[s]->Current()) {
+        tree_.ReplaceWinner(MakePrefixEntry(fmt_, rec));
+      } else {
+        tree_.ExhaustWinner();
       }
     }
-    {
-      obs::Stage stage(&ctx->perf, "merge.seal", "io");
-      out->Seal(fill);
+    if (tree_.Empty()) {
+      for (size_t s = 0; s < readers_.size(); ++s) {
+        (*slice_crc_)[s] = readers_[s]->crc32c();
+      }
     }
-    // Cascade levels also land here, so merged bytes can exceed the plan
-    // on deep cascades; the tracker clamps the fraction below 1.0.
-    ProgressMerged(ctx, fill);
+    return Status::OK();
   }
-  ALPHASORT_RETURN_IF_ERROR(out->Finish());
-  // Every reader has drained its whole file; compare the CRC of what the
-  // merge actually consumed against what the spill pass wrote. A mismatch
-  // means the scratch bytes changed between write and read — surface it
-  // as corruption, never as silently wrong output.
+
+ private:
+  SortContext* ctx_;
+  const RecordFormat fmt_;
+  std::vector<std::unique_ptr<RunReader>> readers_;
+  LoserTree<PrefixEntry, CountingEntryLess> tree_;
+  std::vector<uint32_t>* slice_crc_;
+};
+
+// Merges `runs` into `out` through PartitionedMerge: the runs' samples
+// pick up to MergeRanges(ctx) key ranges, and each range reads its own
+// slice of every run. With verify_run_checksums, each run's slice CRCs,
+// folded in range order, must equal the CRC recorded when it was written.
+// Reports the output CRC and, if asked, the range count.
+Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
+                     const MergeOutput& out, uint32_t* crc,
+                     size_t* num_ranges = nullptr) {
+  const SortOptions& opts = *ctx->options;
+  const RecordFormat& fmt = opts.format;
+  const size_t rec = fmt.record_size;
+  const size_t k = runs.size();
+
+  // Every range reads every run: each run file is opened once, shared.
+  std::vector<std::unique_ptr<File>> files(k);
+  std::vector<SampledRun> sampled(k);
+  for (size_t s = 0; s < k; ++s) {
+    Result<std::unique_ptr<File>> f =
+        OpenScratchRun(ctx, runs[s].path, OpenMode::kReadOnly);
+    ALPHASORT_RETURN_IF_ERROR(f.status());
+    files[s] = std::move(f).value();
+    sampled[s] = SampledRun{runs[s].bytes / rec, Slice(runs[s].sample_keys)};
+  }
+
+  RunSlices slices;
+  {
+    obs::Stage stage(&ctx->perf, "merge.partition", "io");
+    ALPHASORT_RETURN_IF_ERROR(PartitionSampledRuns(
+        fmt, sampled, MergeRanges(ctx),
+        [&](size_t s, uint64_t first, uint64_t n, char* dst) {
+          size_t got = 0;
+          ALPHASORT_RETURN_IF_ERROR(ctx->aio->Wait(
+              ctx->aio->SubmitRead(files[s].get(), first * rec, n * rec, dst),
+              &got));
+          if (got != n * rec) {
+            return Status::Corruption("short read from scratch run");
+          }
+          return Status::OK();
+        },
+        &slices));
+  }
+  const size_t ranges = slices.NumRanges();
+
+  // Each slice gets two read-ahead buffers. Only num_workers ranges are
+  // filled at once, so sizing them as if every range were live keeps the
+  // merge within half the memory budget at two ranges per worker (§6:
+  // the two-pass sort's whole point is using less memory).
+  const uint64_t per_slice_budget =
+      k == 0 ? opts.io_chunk_bytes
+             : std::max<uint64_t>(rec, opts.memory_budget / (2 * k * ranges));
+  const size_t buffer_records = static_cast<size_t>(std::max<uint64_t>(
+      1, std::min<uint64_t>(opts.io_chunk_bytes, per_slice_budget) / rec));
+
+  std::vector<std::vector<uint32_t>> slice_crc(ranges,
+                                               std::vector<uint32_t>(k, 0));
+  ALPHASORT_RETURN_IF_ERROR(PartitionedMerge(
+      ctx, slices.RangeRecords(),
+      [&](size_t r, SortStats* stats)
+          -> Result<std::unique_ptr<RangeProducer>> {
+        auto producer = std::make_unique<ScratchRangeProducer>(
+            ctx, k, stats, &slice_crc[r]);
+        for (size_t s = 0; s < k; ++s) {
+          ALPHASORT_RETURN_IF_ERROR(producer->AddSlice(
+              files[s].get(), slices.bounds[r][s] * rec,
+              slices.bounds[r + 1][s] * rec, buffer_records));
+        }
+        producer->Start();
+        return std::unique_ptr<RangeProducer>(std::move(producer));
+      },
+      out, crc));
+  if (num_ranges != nullptr) *num_ranges = ranges;
+
+  // Every slice has been read whole; compare the CRC of what the merge
+  // actually consumed against what the spill pass wrote. A mismatch means
+  // the scratch bytes changed between write and read — surface it as
+  // corruption, never as silently wrong output.
   if (opts.verify_run_checksums) {
-    for (size_t r = 0; r < k; ++r) {
-      if (readers[r]->crc32c() != runs[r].crc32c) {
+    for (size_t s = 0; s < k; ++s) {
+      uint32_t read_crc = 0;
+      for (size_t r = 0; r < ranges; ++r) {
+        read_crc = Crc32cCombine(read_crc, slice_crc[r][s],
+                                 slices.SliceRecords(r, s) * rec);
+      }
+      if (read_crc != runs[s].crc32c) {
         return Status::Corruption(StrFormat(
             "scratch run %s corrupted: crc32c %08x on read, %08x on write",
-            runs[r].path.c_str(), readers[r]->crc32c(), runs[r].crc32c));
+            runs[s].path.c_str(), read_crc, runs[s].crc32c));
       }
       ++ctx->metrics->runs_checksum_verified;
     }
@@ -169,28 +223,33 @@ Status MergeScratchRunsToWriter(SortContext* ctx,
 
 }  // namespace
 
-Status WriteScratchRun(SortContext* ctx, int level,
-                       const std::function<Status(BufferedWriter*)>& fill,
+Status WriteScratchRun(SortContext* ctx, int level, uint64_t records,
+                       const ScratchMerge& merge,
                        std::vector<ScratchRun>* runs) {
   const SortOptions& opts = *ctx->options;
   const std::string path = ScratchRunPath(opts, level, runs->size());
   Result<std::unique_ptr<File>> file =
       OpenScratchRun(ctx, path, OpenMode::kCreateReadWrite);
   ALPHASORT_RETURN_IF_ERROR(file.status());
-  BufferedWriter ring(file.value().get(), ctx->aio, MergeBatchBytes(opts),
-                      opts.write_buffers);
-  Status s = fill(&ring);
+  ScratchRun run{path, records * opts.format.record_size, 0, {}};
+  run.sample_keys.resize(
+      (records + kSampleStride - 1) / kSampleStride * opts.format.key_size);
+  Status s = merge(MergeOutput{file.value().get(),
+                               level == 0 ? ProgressSpilled : ProgressMerged,
+                               &run.sample_keys},
+                   &run.crc32c);
   Status close_status = file.value()->Close();
   ALPHASORT_RETURN_IF_ERROR(s);
   ALPHASORT_RETURN_IF_ERROR(close_status);
-  runs->push_back(ScratchRun{path, ring.bytes_written(), ring.crc32c()});
-  ctx->metrics->scratch_bytes_written += ring.bytes_written();
+  ctx->metrics->scratch_bytes_written += run.bytes;
+  runs->push_back(std::move(run));
   return Status::OK();
 }
 
 Status MergeScratchRuns(SortContext* ctx, std::vector<ScratchRun> runs) {
   const SortOptions& opts = *ctx->options;
   const size_t fanin = std::max<size_t>(2, opts.max_merge_fanin);
+  const size_t rec = opts.format.record_size;
 
   auto cleanup = [ctx](const std::vector<ScratchRun>& spent) {
     for (const auto& run : spent) RemoveScratchRun(ctx, run.path);
@@ -206,10 +265,15 @@ Status MergeScratchRuns(SortContext* ctx, std::vector<ScratchRun> runs) {
       const std::vector<ScratchRun> group(
           runs.begin() + start,
           runs.begin() + std::min(runs.size(), start + fanin));
+      uint64_t records = 0;
+      for (const auto& run : group) records += run.bytes / rec;
+      // Cascade levels count as merged bytes, so merged bytes can exceed
+      // the plan on deep cascades; the tracker clamps the fraction below
+      // 1.0.
       ALPHASORT_RETURN_IF_ERROR(WriteScratchRun(
-          ctx, level,
-          [&](BufferedWriter* out) {
-            return MergeScratchRunsToWriter(ctx, group, out);
+          ctx, level, records,
+          [&](const MergeOutput& out, uint32_t* crc) {
+            return MergeRunFiles(ctx, group, out, crc);
           },
           &next));
       cleanup(group);
@@ -217,12 +281,15 @@ Status MergeScratchRuns(SortContext* ctx, std::vector<ScratchRun> runs) {
     runs = std::move(next);
   }
 
-  BufferedWriter out(ctx->output, ctx->aio, MergeBatchBytes(opts),
-                     opts.write_buffers);
-  Status s = MergeScratchRunsToWriter(ctx, runs, &out);
+  uint32_t crc = 0;
+  size_t ranges = 0;
+  Status s = MergeRunFiles(ctx, runs,
+                           MergeOutput{ctx->output, ProgressMerged, nullptr},
+                           &crc, &ranges);
   cleanup(runs);
   ALPHASORT_RETURN_IF_ERROR(s);
-  ctx->metrics->output_crc32c = out.crc32c();
+  ctx->metrics->merge_ranges = ranges;
+  ctx->metrics->output_crc32c = crc;
   return ctx->output->Truncate(ctx->input_bytes);
 }
 

@@ -112,15 +112,15 @@ struct SortOptions {
   // to the request itself — and never touches the compare path.
   bool collect_io_metrics = true;
 
-  // Ways to split the merge phase's key space across workers (paper §5:
-  // the root subdivides the merge so every processor drives its own
-  // tournament). -1 = auto (num_workers + 1 ranges — one more range than
-  // workers so finishers pick up the tail and the phase load-balances);
-  // 1 = the classic single global tournament; N > 1 = at most N disjoint
-  // key ranges. Only the one-pass in-memory merge partitions; with
-  // num_workers == 0 the sort always merges sequentially (the root would
-  // deadlock waiting on itself otherwise). Output bytes and CRC are
-  // identical either way (sort/merge_partition.h documents why).
+  // Ways to split every merge's key space across workers (paper §5: the
+  // root subdivides the merge so every processor drives its own
+  // tournament) — the one-pass merge, each spill and the scratch-run
+  // merge alike. -1 = auto (2 × num_workers ranges: the root drives the
+  // IO and merges no range, so 4 ranges on 3 workers would run in two
+  // rounds; docs/perf.md); 1 = the classic single global tournament;
+  // N > 1 = at most N disjoint key ranges. With num_workers == 0 the root
+  // fills one range itself. Output bytes and CRC are identical either way
+  // (sort/merge_partition.h documents why).
   int merge_parallelism = -1;
 
   // Records/entries of lookahead for the software-prefetch hints in the

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <mutex>
 
@@ -18,26 +19,6 @@
 namespace alphasort {
 namespace core_internal {
 namespace {
-
-// Gathers `ptrs[0..n)` into `out` in parallel slices across the pool.
-void ParallelGather(SortContext* ctx, const char* const* ptrs, size_t n,
-                    char* out) {
-  const RecordFormat& fmt = ctx->options->format;
-  const size_t prefetch = ctx->options->prefetch_distance;
-  const size_t slices = static_cast<size_t>(ctx->pool->num_workers()) + 1;
-  const size_t per_slice = (n + slices - 1) / slices;
-  ctx->pool->ParallelFor(slices, [&](size_t s) {
-    obs::ScopedJobId job_scope(ctx->job_id);
-    obs::ScopedTraceId trace_scope(ctx->trace_id);
-    const size_t lo = s * per_slice;
-    const size_t hi = std::min(n, lo + per_slice);
-    if (lo < hi) {
-      obs::Stage stage(&ctx->perf, "gather.slice", "cpu");
-      GatherRecords(fmt, ptrs + lo, hi - lo, out + lo * fmt.record_size,
-                    prefetch);
-    }
-  });
-}
 
 // Aggregates per-chore sort stats under a lock (chores run concurrently).
 class StatsSink {
@@ -61,7 +42,7 @@ class StatsSink {
 struct PartitionCounters {
   obs::Counter* sorts;    // merges that ran partitioned
   obs::Counter* ranges;   // total key ranges across those merges
-  obs::Counter* batches;  // output batches sealed by workers
+  obs::Counter* batches;  // output batches sealed by fillers
 
   static PartitionCounters* Get() {
     static PartitionCounters* c = [] {
@@ -75,10 +56,10 @@ struct PartitionCounters {
   }
 };
 
-// One gather buffer cycling through the partitioned merge's
-// fill → seal → write → recycle loop. `offset`/`len` pin the batch to its
-// absolute position in the output file, so batches from different ranges
-// can complete in any order.
+// One gather buffer cycling through the merge's fill → seal → write →
+// recycle loop. `offset`/`len` pin the batch to its absolute position in
+// the output file, so batches from different ranges can complete in any
+// order.
 struct RangeBuffer {
   std::vector<char> data;
   uint64_t offset = 0;
@@ -86,129 +67,104 @@ struct RangeBuffer {
   AsyncIO::Handle pending = 0;
 };
 
-// The key-range-partitioned merge (paper §5: the root subdivides the sort
-// "into sub-sorts on key ranges" so every processor drives its own
-// tournament). Each range becomes one chore: a worker merges the range's
-// run slices through its own loser tree and gathers each batch into a
-// pooled buffer, stamped with its exact output offset
-// (range.first_record is known up front, so no coordination on where
-// bytes land). The root keeps owning all IO, exactly as in the
-// sequential path: it drains sealed buffers into AsyncIO writes, keeps
-// up to write_buffers of them in flight, and recycles retired buffers
-// back to the workers.
+// Copies the key of every kSampleStride-th output record in a batch of
+// `n` records, the first of which is output record `first`, into its
+// slot of `samples`. Ranges seal disjoint records, so concurrent calls
+// write disjoint bytes.
+void SampleKeys(const RecordFormat& fmt, const char* batch, uint64_t first,
+                size_t n, std::string* samples) {
+  const uint64_t end = first + n;
+  for (uint64_t i = (first + kSampleStride - 1) / kSampleStride *
+                    kSampleStride;
+       i < end; i += kSampleStride) {
+    memcpy(samples->data() + i / kSampleStride * fmt.key_size,
+           fmt.KeyPtr(batch + (i - first) * fmt.record_size), fmt.key_size);
+  }
+}
+
+}  // namespace
+
+// Each range is one chore: a worker makes the range's producer, fills
+// pooled buffers from it batch by batch and stamps each with its exact
+// output offset (the per-range record counts are known up front, so no
+// coordination on where bytes land). The root owns all IO: it drains
+// sealed buffers into AsyncIO writes, keeps up to write_buffers of them
+// in flight, and recycles retired buffers back to the fillers. A
+// zero-worker pool has nobody to fill, so the root fills the ranges
+// itself, in order, through the same buffers, writing out a batch
+// whenever it needs a buffer back.
 //
-// Output bytes are identical to the sequential merge by construction
+// Output bytes are identical to one global tournament's by construction
 // (sort/merge_partition.h documents the boundary contract); the output
 // CRC is the per-range CRCs folded in range order with Crc32cCombine.
 //
 // Deadlock discipline: workers block only on the free-buffer pool; the
 // root blocks on the sealed queue only while nothing is in flight
 // (otherwise it retires the oldest write first, which is what frees
-// buffers). An abort — IO error or cancellation — raises `abort` under
-// the lock and wakes every waiter; workers drain out at their next
-// buffer acquisition.
+// buffers). An abort — a write or producer error, or cancellation —
+// raises `abort` under the lock and wakes every waiter; fillers drain out
+// at their next buffer acquisition.
 //
 // This root loop is the one writer that does not stream through the
-// output ring (io/buffered_writer.h). Its buffers are filled by many
-// workers at once, sealed out of file order at per-range offsets and
-// checksummed per range; the ring has one producer, writes consecutive
-// offsets and folds a single CRC in submit order. Serving both would
-// make the ring branch on its caller.
-Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
-                        uint32_t* crc_out) {
+// output ring (io/buffered_writer.h): its buffers are filled by many
+// ranges at once, sealed out of file order and checksummed per range.
+Status PartitionedMerge(SortContext* ctx,
+                        const std::vector<uint64_t>& range_records,
+                        const RangeProducerFactory& make_producer,
+                        const MergeOutput& out, uint32_t* crc_out) {
   const SortOptions& opts = *ctx->options;
   const RecordFormat& fmt = opts.format;
-  const size_t num_ranges = partition.NumRanges();
-  const size_t batch_records =
-      std::max<size_t>(1, opts.io_chunk_bytes / fmt.record_size);
+  const size_t rec = fmt.record_size;
+  const size_t num_ranges = range_records.size();
+  const size_t batch_records = MergeBatchBytes(opts) / rec;
   const size_t write_depth =
       static_cast<size_t>(std::max(2, opts.write_buffers));
+  const size_t workers = static_cast<size_t>(ctx->pool->num_workers());
+  const bool root_fills = workers == 0;
+  if (num_ranges > 1) {
+    PartitionCounters::Get()->sorts->Add();
+    PartitionCounters::Get()->ranges->Add(num_ranges);
+  }
 
   // Enough buffers for every worker to fill one while the root keeps a
   // full write pipe in flight.
-  const size_t num_bufs =
-      write_depth + std::min<size_t>(
-                        static_cast<size_t>(ctx->pool->num_workers()),
-                        num_ranges);
+  const size_t num_bufs = write_depth + std::min(workers, num_ranges);
   std::vector<RangeBuffer> storage(num_bufs);
-  for (auto& b : storage) b.data.resize(batch_records * fmt.record_size);
+  for (auto& b : storage) b.data.resize(batch_records * rec);
+
+  std::vector<uint64_t> first_record(num_ranges, 0);
+  for (size_t r = 1; r < num_ranges; ++r) {
+    first_record[r] = first_record[r - 1] + range_records[r - 1];
+  }
 
   struct Shared {
     std::mutex mu;
-    std::condition_variable free_cv;    // workers: a buffer came free
+    std::condition_variable free_cv;    // fillers: a buffer came free
     std::condition_variable sealed_cv;  // root: sealed batch / range done
     std::vector<RangeBuffer*> free_bufs;
     std::deque<RangeBuffer*> sealed;
     size_t ranges_done = 0;
     bool abort = false;
+    Status error;  // the first producer error
   } shared;
   for (auto& b : storage) shared.free_bufs.push_back(&b);
 
   std::vector<uint32_t> range_crc(num_ranges, 0);
   StatsSink merge_stats;
-
-  for (size_t r = 0; r < num_ranges; ++r) {
-    // Everything captured by reference outlives the chore: the root
-    // WaitIdle()s before this function returns.
-    ctx->pool->Submit([&, r] {
-      // Chores from concurrent jobs interleave on shared workers, so the
-      // ambient job and trace ids must be re-established per chore.
-      obs::ScopedJobId job_scope(ctx->job_id);
-      obs::ScopedTraceId trace_scope(ctx->trace_id);
-      const MergeRange& range = partition.ranges[r];
-      obs::Stage range_stage(&ctx->perf, "merge.range", "cpu");
-      SortStats stats;
-      RunMerger<> merger(fmt, range.runs, TreeLayout::kFlat, nullptr,
-                         &stats, opts.merge_prefetch);
-      std::vector<const char*> ptrs(batch_records);
-      uint64_t offset = range.first_record * fmt.record_size;
-      while (!merger.Done()) {
-        RangeBuffer* buf = nullptr;
-        {
-          std::unique_lock<std::mutex> lock(shared.mu);
-          shared.free_cv.wait(lock, [&shared] {
-            return shared.abort || !shared.free_bufs.empty();
-          });
-          if (shared.abort) break;
-          buf = shared.free_bufs.back();
-          shared.free_bufs.pop_back();
-        }
-        size_t got;
-        {
-          obs::Stage stage(&ctx->perf, "merge.batch", "cpu");
-          got = merger.NextBatch(ptrs.data(), batch_records);
-        }
-        {
-          obs::Stage stage(&ctx->perf, "gather.slice", "cpu");
-          GatherRecords(fmt, ptrs.data(), got, buf->data.data(),
-                        opts.prefetch_distance);
-        }
-        buf->offset = offset;
-        buf->len = got * fmt.record_size;
-        offset += buf->len;
-        // A range's batches are produced front to back by this one
-        // chore, so its CRC folds sequentially right here.
-        range_crc[r] = Crc32c(buf->data.data(), buf->len, range_crc[r]);
-        {
-          std::lock_guard<std::mutex> lock(shared.mu);
-          shared.sealed.push_back(buf);
-        }
-        shared.sealed_cv.notify_one();
-      }
-      merge_stats.Add(stats);
-      {
-        std::lock_guard<std::mutex> lock(shared.mu);
-        ++shared.ranges_done;
-      }
-      shared.sealed_cv.notify_one();
-    });
-  }
-
+  // Root-only state: the write pipe and the root's own first error (a
+  // write, or the control token).
   std::deque<RangeBuffer*> in_flight;
   Status status;
 
+  auto raise_abort = [&shared] {
+    std::lock_guard<std::mutex> lock(shared.mu);
+    shared.abort = true;
+    shared.free_cv.notify_all();
+    shared.sealed_cv.notify_all();
+  };
   // Waits the oldest in-flight write and returns its buffer to the pool.
   auto retire_oldest = [&] {
+    obs::Stage stage(&ctx->perf, "merge.seal", "io");
     RangeBuffer* buf = in_flight.front();
     in_flight.pop_front();
     Status write_status = ctx->aio->Wait(buf->pending);
@@ -219,125 +175,220 @@ Status PartitionedMerge(SortContext* ctx, const MergePartition& partition,
     }
     shared.free_cv.notify_one();
   };
-  auto raise_abort = [&shared] {
-    std::lock_guard<std::mutex> lock(shared.mu);
-    shared.abort = true;
-    shared.free_cv.notify_all();
-  };
-
-  for (;;) {
+  // One step of the root's write side: submits the next sealed batch, or
+  // retires the oldest write when the pipe is full or nothing is sealed.
+  // Returns false once every range is written, or on abort.
+  auto pump = [&]() -> bool {
     RangeBuffer* buf = nullptr;
-    bool all_done = false;
     {
       std::unique_lock<std::mutex> lock(shared.mu);
-      if (shared.sealed.empty() && in_flight.empty()) {
+      if (!root_fills && shared.sealed.empty() && in_flight.empty()) {
         shared.sealed_cv.wait(lock, [&shared, num_ranges] {
-          return !shared.sealed.empty() ||
+          return shared.abort || !shared.sealed.empty() ||
                  shared.ranges_done == num_ranges;
         });
       }
+      if (shared.abort) return false;
       if (!shared.sealed.empty()) {
         buf = shared.sealed.front();
         shared.sealed.pop_front();
       } else if (in_flight.empty()) {
-        all_done = shared.ranges_done == num_ranges;
+        return false;  // every range is done and written
       }
     }
     if (buf != nullptr) {
       // Cancellation/deadline poll, once per sealed batch.
       if (Status ctl = CheckControl(ctx); !ctl.ok()) {
-        if (status.ok()) status = ctl;
+        status = ctl;
         std::lock_guard<std::mutex> lock(shared.mu);
         shared.free_bufs.push_back(buf);  // never submitted
-        break;
+        return false;
       }
       {
         obs::Stage stage(&ctx->perf, "merge.seal", "io");
-        buf->pending = ctx->aio->SubmitWrite(ctx->output, buf->offset,
+        buf->pending = ctx->aio->SubmitWrite(out.file, buf->offset,
                                              buf->data.data(), buf->len);
       }
       in_flight.push_back(buf);
-      ProgressMerged(ctx, buf->len);
+      out.progress(ctx, buf->len);
       PartitionCounters::Get()->batches->Add();
-      if (in_flight.size() < write_depth) continue;
-    } else if (all_done) {
-      break;
+      if (in_flight.size() < write_depth) return true;
     }
     // Write pipe full, or nothing sealed while writes are outstanding:
     // retiring the oldest write is the only way buffers come free.
-    if (!in_flight.empty()) {
-      obs::Stage stage(&ctx->perf, "merge.seal", "io");
-      retire_oldest();
-      if (!status.ok()) break;
+    retire_oldest();
+    return status.ok();
+  };
+  // A free buffer for a filler, or nullptr on abort. A worker waits for
+  // the root to recycle one; the root, filling, first writes out what it
+  // has sealed and then retires writes until one comes free.
+  auto acquire = [&]() -> RangeBuffer* {
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(shared.mu);
+        if (!root_fills) {
+          shared.free_cv.wait(lock, [&shared] {
+            return shared.abort || !shared.free_bufs.empty();
+          });
+        }
+        if (shared.abort) return nullptr;
+        if (!shared.free_bufs.empty() &&
+            (!root_fills || shared.sealed.empty())) {
+          RangeBuffer* buf = shared.free_bufs.back();
+          shared.free_bufs.pop_back();
+          return buf;
+        }
+      }
+      if (!pump()) {
+        raise_abort();
+        return nullptr;
+      }
+    }
+  };
+  auto fill_range = [&](size_t r) {
+    // Chores from concurrent jobs interleave on shared workers, so the
+    // ambient job and trace ids must be re-established per chore.
+    obs::ScopedJobId job_scope(ctx->job_id);
+    obs::ScopedTraceId trace_scope(ctx->trace_id);
+    obs::Stage range_stage(&ctx->perf, "merge.range", "cpu");
+    SortStats stats;
+    Status s;
+    {
+      Result<std::unique_ptr<RangeProducer>> producer =
+          make_producer(r, &stats);
+      s = producer.status();
+      uint64_t next = first_record[r];
+      const uint64_t end = next + range_records[r];
+      while (s.ok() && next < end) {
+        RangeBuffer* buf = acquire();
+        if (buf == nullptr) break;
+        const size_t n =
+            static_cast<size_t>(std::min<uint64_t>(batch_records, end - next));
+        s = producer.value()->Fill(buf->data.data(), n);
+        if (!s.ok()) {
+          std::lock_guard<std::mutex> lock(shared.mu);
+          shared.free_bufs.push_back(buf);
+          break;
+        }
+        buf->offset = next * rec;
+        buf->len = n * rec;
+        if (out.sample_keys != nullptr) {
+          SampleKeys(fmt, buf->data.data(), next, n, out.sample_keys);
+        }
+        // A range's batches are produced front to back by this one
+        // filler, so its CRC folds sequentially right here.
+        range_crc[r] = Crc32c(buf->data.data(), buf->len, range_crc[r]);
+        next += n;
+        {
+          std::lock_guard<std::mutex> lock(shared.mu);
+          shared.sealed.push_back(buf);
+        }
+        shared.sealed_cv.notify_one();
+      }
+    }  // the producer's memory goes before the range counts as done
+    merge_stats.Add(stats);
+    {
+      std::lock_guard<std::mutex> lock(shared.mu);
+      if (!s.ok()) {
+        if (shared.error.ok()) shared.error = s;
+        shared.abort = true;
+        shared.free_cv.notify_all();
+      }
+      ++shared.ranges_done;
+    }
+    shared.sealed_cv.notify_one();
+  };
+
+  for (size_t r = 0; r < num_ranges; ++r) {
+    if (root_fills) {
+      fill_range(r);
+    } else {
+      // Everything captured by reference outlives the chore: the root
+      // WaitIdle()s before this function returns.
+      ctx->pool->Submit([&fill_range, r] { fill_range(r); });
     }
   }
+  while (pump()) {
+  }
 
-  // Unwind: wake every worker (on error they drain out; on success they
+  // Unwind: wake every filler (on error they drain out; on success they
   // are already done), let the pool go idle, then retire whatever writes
   // are still outstanding — the buffers must outlive them.
   if (!status.ok()) raise_abort();
-  ctx->pool->WaitIdle();
+  if (!root_fills) ctx->pool->WaitIdle();
   while (!in_flight.empty()) retire_oldest();
+  if (status.ok()) status = shared.error;
 
   ctx->metrics->merge_stats.Merge(merge_stats.Take());
-  if (status.ok()) {
-    uint32_t crc = 0;
-    for (size_t r = 0; r < num_ranges; ++r) {
-      crc = Crc32cCombine(
-          crc, range_crc[r],
-          partition.ranges[r].num_records * fmt.record_size);
-    }
-    *crc_out = crc;
+  ALPHASORT_RETURN_IF_ERROR(status);
+  uint32_t crc = 0;
+  for (size_t r = 0; r < num_ranges; ++r) {
+    crc = Crc32cCombine(crc, range_crc[r], range_records[r] * rec);
   }
-  return status;
+  *crc_out = crc;
+  return Status::OK();
 }
 
-// Merges sorted entry `runs` batch by batch through one tournament and
-// gathers each batch in parallel straight into the ring's next buffer —
-// the in-memory merge's output and every spilled run alike. `progress`
-// receives the bytes of each sealed batch. On return the ring is
-// finished, or aborted on error.
-Status MergeToWriter(SortContext* ctx, std::vector<EntryRun> runs,
-                     BufferedWriter* out,
-                     void (*progress)(SortContext*, uint64_t)) {
-  const SortOptions& opts = *ctx->options;
-  const RecordFormat& fmt = opts.format;
-  RunMerger<> merger(fmt, std::move(runs), TreeLayout::kFlat, nullptr,
-                     &ctx->metrics->merge_stats, opts.merge_prefetch);
-  const size_t batch_records = out->buffer_bytes() / fmt.record_size;
-  std::vector<const char*> ptrs(batch_records);
-  Status status;
-  while (status.ok() && !merger.Done()) {
-    // Cancellation/deadline poll, once per output batch.
-    status = CheckControl(ctx);
-    char* dst = nullptr;
-    size_t room = 0;
-    if (status.ok()) {
-      // Reclaiming the buffer from its earlier write is part of the
-      // output seal step, not the merge proper — account it there so the
-      // "merge.batch" stage stays a pure tournament measurement
-      // (docs/perf.md).
-      obs::Stage stage(&ctx->perf, "merge.seal", "io");
-      status = out->Acquire(&dst, &room);
-    }
-    if (!status.ok()) break;
-    size_t got;
+namespace {
+
+// One key range of in-memory entry runs: its own tournament, whose
+// pointer stream is gathered straight into the batch. The one-pass merge
+// and every spill are made of these.
+class EntryRangeProducer : public RangeProducer {
+ public:
+  EntryRangeProducer(SortContext* ctx, std::vector<EntryRun> runs,
+                     SortStats* stats)
+      : ctx_(ctx),
+        merger_(ctx->options->format, std::move(runs), TreeLayout::kFlat,
+                nullptr, stats, ctx->options->merge_prefetch),
+        ptrs_(MergeBatchBytes(*ctx->options) /
+              ctx->options->format.record_size) {}
+
+  Status Fill(char* out, size_t n) override {
+    const SortOptions& opts = *ctx_->options;
     {
-      obs::Stage stage(&ctx->perf, "merge.batch", "cpu");
-      got = merger.NextBatch(ptrs.data(), batch_records);
+      obs::Stage stage(&ctx_->perf, "merge.batch", "cpu");
+      merger_.NextBatch(ptrs_.data(), n);
     }
-    ParallelGather(ctx, ptrs.data(), got, dst);
     {
-      obs::Stage stage(&ctx->perf, "merge.seal", "io");
-      out->Seal(got * fmt.record_size);
+      obs::Stage stage(&ctx_->perf, "gather.slice", "cpu");
+      GatherRecords(opts.format, ptrs_.data(), n, out,
+                    opts.prefetch_distance);
     }
-    progress(ctx, got * fmt.record_size);
+    return Status::OK();
   }
-  if (!status.ok()) {
-    out->Abort();
-    return status;
+
+ private:
+  SortContext* ctx_;
+  RunMerger<> merger_;
+  std::vector<const char*> ptrs_;
+};
+
+// Merges the sorted entry `runs` (over resident records) into `out`: split
+// into up to MergeRanges(ctx) key ranges, each merged by its own
+// tournament. Reports the output CRC and, if asked, the range count.
+Status MergeEntryRuns(SortContext* ctx, const std::vector<EntryRun>& runs,
+                      const MergeOutput& out, uint32_t* crc,
+                      size_t* num_ranges = nullptr) {
+  MergePartition partition;
+  {
+    obs::Stage stage(&ctx->perf, "merge.partition", "cpu");
+    partition =
+        PartitionEntryRuns(ctx->options->format, runs, MergeRanges(ctx));
   }
-  return out->Finish();
+  std::vector<uint64_t> range_records;
+  for (const MergeRange& range : partition.ranges) {
+    range_records.push_back(range.num_records);
+  }
+  if (num_ranges != nullptr) *num_ranges = partition.NumRanges();
+  return PartitionedMerge(
+      ctx, range_records,
+      [ctx, &partition](size_t r, SortStats* stats)
+          -> Result<std::unique_ptr<RangeProducer>> {
+        return std::unique_ptr<RangeProducer>(
+            new EntryRangeProducer(ctx, partition.ranges[r].runs, stats));
+      },
+      out, crc);
 }
 
 // Touches one page in every 4 KiB of the fresh block and entry arrays,
@@ -372,51 +423,6 @@ std::vector<EntryRun> BlockRuns(const PrefixEntry* entries, uint64_t n,
     runs.push_back(EntryRun{entries + start, entries + start + len});
   }
   return runs;
-}
-
-// The in-memory merge phase: merges the sorted `entry_runs` (entry arrays
-// over resident records) into ctx->output — partitioned across workers
-// when configured, a single sequential tournament otherwise — then
-// truncates to the input size and records the output CRC.
-Status MergeEntryRunsToOutput(SortContext* ctx,
-                              const std::vector<EntryRun>& entry_runs) {
-  const SortOptions& opts = *ctx->options;
-  const RecordFormat& fmt = opts.format;
-
-  // Merge strategy (§5): with workers available, split the key space
-  // into ~workers+1 disjoint ranges and let every worker drive its own
-  // tournament; without workers (or when the split degenerates — all
-  // keys equal, a single run) fall through to the classic single global
-  // tournament. A zero-worker pool must stay sequential: its Submit()
-  // runs chores inline on the root, which would deadlock the fill/seal
-  // handshake of the partitioned merge.
-  size_t want_ranges = 1;
-  if (ctx->pool->num_workers() > 0) {
-    want_ranges = opts.merge_parallelism == -1
-                      ? static_cast<size_t>(ctx->pool->num_workers()) + 1
-                      : static_cast<size_t>(opts.merge_parallelism);
-  }
-  MergePartition partition;
-  if (want_ranges > 1) {
-    obs::Stage stage(&ctx->perf, "merge.partition", "cpu");
-    partition = PartitionEntryRuns(fmt, entry_runs, want_ranges);
-  }
-  uint32_t crc = 0;
-  if (partition.NumRanges() > 1) {
-    PartitionCounters::Get()->sorts->Add();
-    PartitionCounters::Get()->ranges->Add(partition.NumRanges());
-    ctx->metrics->merge_ranges = partition.NumRanges();
-    ALPHASORT_RETURN_IF_ERROR(PartitionedMerge(ctx, partition, &crc));
-  } else {
-    BufferedWriter ring(ctx->output, ctx->aio, MergeBatchBytes(opts),
-                        opts.write_buffers);
-    ALPHASORT_RETURN_IF_ERROR(
-        MergeToWriter(ctx, entry_runs, &ring, ProgressMerged));
-    crc = ring.crc32c();
-  }
-  ALPHASORT_RETURN_IF_ERROR(ctx->output->Truncate(ctx->input_bytes));
-  ctx->metrics->output_crc32c = crc;
-  return Status::OK();
 }
 
 }  // namespace
@@ -468,7 +474,15 @@ Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
 Status RunPasses(SortContext* ctx) {
   const SortOptions& opts = *ctx->options;
   const size_t rec = opts.format.record_size;
-  const uint64_t run_records = opts.run_size_records;
+  // A block of `cap` records is cut into at least workers + 1 runs, so the
+  // workers sort while the read goes on and the root sorts only the tail.
+  const uint64_t sorters = static_cast<uint64_t>(ctx->pool->num_workers()) + 1;
+  auto run_length = [&opts, sorters](uint64_t cap) {
+    return std::max<uint64_t>(
+        1, std::min<uint64_t>(opts.run_size_records,
+                              (cap + sorters - 1) / sorters));
+  };
+  uint64_t run_records = 0;  // the current block's run length
 
   // Zero-copy: a source whose entire input is already resident in one
   // immutable buffer (mmap, memory, generated) needs no record block and
@@ -532,10 +546,12 @@ Status RunPasses(SortContext* ctx) {
     ctx->EnterPhase(obs::SortPhase::kMerge);
   };
 
-  // Ingests one block of up to `cap` records: sorts every run as the read
-  // front passes it (a chore per run), the tail inline, and drains the
-  // pool, so the caller may merge or reuse the block.
+  // Ingests one block of up to `cap` records, cut into runs of
+  // run_length(cap): sorts every run as the read front passes it (a chore
+  // per run), the tail inline, and drains the pool, so the caller may
+  // merge or reuse the block.
   auto ingest_block = [&](uint64_t cap, uint64_t* n, bool* at_end) {
+    run_records = run_length(cap);
     uint64_t next_run = 0;
     auto dispatch_runs_below = [&](const char* data, uint64_t ready) {
       for (; ready - next_run >= run_records; next_run += run_records) {
@@ -593,7 +609,15 @@ Status RunPasses(SortContext* ctx) {
     ctx->metrics->num_runs = (n + run_records - 1) / run_records;
     merge_begins();
     if (n == 0) return Status::OK();
-    return MergeEntryRunsToOutput(ctx, BlockRuns(ents, n, run_records));
+    uint32_t crc = 0;
+    size_t ranges = 0;
+    ALPHASORT_RETURN_IF_ERROR(MergeEntryRuns(
+        ctx, BlockRuns(ents, n, run_records),
+        MergeOutput{ctx->output, ProgressMerged, nullptr}, &crc, &ranges));
+    ALPHASORT_RETURN_IF_ERROR(ctx->output->Truncate(ctx->input_bytes));
+    ctx->metrics->merge_ranges = ranges;
+    ctx->metrics->output_crc32c = crc;
+    return Status::OK();
   }
 
   // Two passes: every block becomes one scratch run.
@@ -602,10 +626,10 @@ Status RunPasses(SortContext* ctx) {
   Status s;
   while (s.ok() && n > 0) {
     s = WriteScratchRun(
-        ctx, /*level=*/0,
-        [&](BufferedWriter* out) {
-          return MergeToWriter(ctx, BlockRuns(ents, n, run_records), out,
-                               ProgressSpilled);
+        ctx, /*level=*/0, n,
+        [&](const MergeOutput& out, uint32_t* crc) {
+          return MergeEntryRuns(ctx, BlockRuns(ents, n, run_records), out,
+                                crc);
         },
         &runs);
     if (!s.ok() || eof) break;

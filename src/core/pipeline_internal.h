@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/chores.h"
@@ -12,7 +13,6 @@
 #include "core/record_source.h"
 #include "core/sort_control.h"
 #include "io/async_io.h"
-#include "io/buffered_writer.h"
 #include "io/stripe.h"
 #include "obs/perf_counters.h"
 #include "obs/progress.h"
@@ -146,6 +146,59 @@ inline size_t MergeBatchBytes(const SortOptions& opts) {
   return std::max<size_t>(1, opts.io_chunk_bytes / rec) * rec;
 }
 
+// Key ranges every merge asks for (SortOptions::merge_parallelism): by
+// default two per worker, because the root drives the IO and merges no
+// range itself (docs/perf.md). Without workers the root fills one range.
+inline size_t MergeRanges(const SortContext* ctx) {
+  const int workers = ctx->pool->num_workers();
+  if (workers == 0) return 1;
+  const int want = ctx->options->merge_parallelism;
+  return static_cast<size_t>(want == -1 ? 2 * workers : want);
+}
+
+// One key range's records, produced in key order batch by batch. Made
+// inside the range's chore, so only the ranges being filled hold their
+// producers' memory.
+class RangeProducer {
+ public:
+  RangeProducer() = default;
+  virtual ~RangeProducer() = default;
+  RangeProducer(const RangeProducer&) = delete;
+  RangeProducer& operator=(const RangeProducer&) = delete;
+
+  // Writes the range's next `n` records to `out`; PartitionedMerge never
+  // asks for more than the range holds.
+  virtual Status Fill(char* out, size_t n) = 0;
+};
+
+// Makes range `range`'s producer, which counts its compares into `stats`.
+using RangeProducerFactory =
+    std::function<Result<std::unique_ptr<RangeProducer>>(size_t range,
+                                                         SortStats* stats)>;
+
+// Where a PartitionedMerge writes.
+struct MergeOutput {
+  File* file = nullptr;
+  // Receives the bytes of every batch written (ProgressMerged or
+  // ProgressSpilled).
+  void (*progress)(SortContext*, uint64_t) = nullptr;
+  // When set, sized for the output's ⌈records / kSampleStride⌉ keys: the
+  // key of every kSampleStride-th record lands here as its batch seals.
+  std::string* sample_keys = nullptr;
+};
+
+// The one merge loop (paper §5: the root subdivides the sort "into
+// sub-sorts on key ranges" so every processor drives its own tournament).
+// Range r holds `range_records[r]` records and lands at a known offset, so
+// each range is a chore that fills pooled buffers through its producer
+// while the root owns all IO. `*crc_out` is the CRC-32C of the whole
+// output, folded from the per-range CRCs. The first producer or write
+// error aborts the merge and is returned.
+Status PartitionedMerge(SortContext* ctx,
+                        const std::vector<uint64_t>& range_records,
+                        const RangeProducerFactory& make_producer,
+                        const MergeOutput& out, uint32_t* crc_out);
+
 // The default pass body — the one ingest path for every source. It
 // reads the input block by block (records copied out of the source, or
 // referenced in place when the source is resident in one buffer) and
@@ -170,16 +223,18 @@ Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
                    const std::function<void(uint64_t)>& on_pull,
                    uint64_t* records, bool* eof);
 
-// A sorted run spilled to a scratch file. The output ring computes the
-// CRC-32C of the run's byte stream as it is written, and the merge pass
-// verifies it as it streams the run back
-// (SortOptions::verify_run_checksums), so an undetected scratch-disk
-// corruption surfaces as Status::Corruption instead of silently wrong
-// output.
+// A sorted run spilled to a scratch file. The CRC-32C of the run's byte
+// stream is computed as it is written, and the merge pass verifies it as
+// it streams the run back (SortOptions::verify_run_checksums), so an
+// undetected scratch-disk corruption surfaces as Status::Corruption
+// instead of silently wrong output. `sample_keys` holds the key of every
+// kSampleStride-th record (sort/merge_partition.h), from which the merge
+// partitions the run into key ranges.
 struct ScratchRun {
   std::string path;
   uint64_t bytes = 0;
   uint32_t crc32c = 0;
+  std::string sample_keys;
 };
 
 // Scope guard for the scratch namespace: on destruction deletes every
@@ -216,11 +271,15 @@ Result<std::unique_ptr<File>> OpenScratchRun(SortContext* ctx,
 // Removes a scratch run (definition + members for striped runs).
 void RemoveScratchRun(SortContext* ctx, const std::string& path);
 
-// Creates scratch run `runs->size()` of cascade `level`, streams `fill`
-// into it through an output ring, closes it, and appends the run — with
-// the ring's CRC-32C — to `*runs`.
-Status WriteScratchRun(SortContext* ctx, int level,
-                       const std::function<Status(BufferedWriter*)>& fill,
+// Creates scratch run `runs->size()` of cascade `level`, has `merge`
+// write its `records` records through PartitionedMerge to the output it
+// is given (progress counted as spilled at level 0, as merged above it;
+// keys sampled into the run) and report their CRC-32C, closes the run
+// and appends it to `*runs`.
+using ScratchMerge =
+    std::function<Status(const MergeOutput& out, uint32_t* crc)>;
+Status WriteScratchRun(SortContext* ctx, int level, uint64_t records,
+                       const ScratchMerge& merge,
                        std::vector<ScratchRun>* runs);
 
 // Merges `runs` into ctx->output, cascading through intermediate levels

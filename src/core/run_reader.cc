@@ -6,13 +6,14 @@
 
 namespace alphasort {
 
-RunReader::RunReader(File* file, uint64_t file_bytes, const RecordFormat& fmt,
-                     size_t buffer_records, AsyncIO* aio)
+RunReader::RunReader(File* file, uint64_t end, const RecordFormat& fmt,
+                     size_t buffer_records, AsyncIO* aio, uint64_t start)
     : file_(file),
       fmt_(fmt),
-      file_bytes_(file_bytes),
+      end_(end),
       buf_bytes_(std::max<size_t>(1, buffer_records) * fmt.record_size),
-      aio_(aio) {
+      aio_(aio),
+      next_offset_(start) {
   buffers_[0].resize(buf_bytes_);
   buffers_[1].resize(buf_bytes_);
 }
@@ -41,7 +42,7 @@ Status RunReader::Advance() {
   ALPHASORT_RETURN_IF_ERROR(WaitPendingInto(other));
   cur_ = other;
   pos_ = 0;
-  if (valid_[cur_] > 0 && next_offset_ < file_bytes_) {
+  if (valid_[cur_] > 0 && next_offset_ < end_) {
     SubmitNext(cur_ ^ 1);
   }
   return Status::OK();
@@ -49,7 +50,7 @@ Status RunReader::Advance() {
 
 void RunReader::SubmitNext(size_t buf) {
   const size_t len = static_cast<size_t>(
-      std::min<uint64_t>(buf_bytes_, file_bytes_ - next_offset_));
+      std::min<uint64_t>(buf_bytes_, end_ - next_offset_));
   if (len == 0) return;
   pending_ = aio_->SubmitRead(file_, next_offset_, len,
                               buffers_[buf].data());

@@ -9,13 +9,14 @@
 
 namespace alphasort {
 
-// Double-buffered sequential record reader over one spilled run file.
-// Read-ahead goes through the async scheduler so all runs' disks stream
-// concurrently during a merge pass.
+// Double-buffered sequential record reader over one spilled run file, or
+// over the byte range [start, end) of one: a key range's slice of a run
+// in the partitioned scratch merge. Read-ahead goes through the async
+// scheduler so all runs' disks stream concurrently during a merge pass.
 class RunReader {
  public:
-  RunReader(File* file, uint64_t file_bytes, const RecordFormat& fmt,
-            size_t buffer_records, AsyncIO* aio);
+  RunReader(File* file, uint64_t end, const RecordFormat& fmt,
+            size_t buffer_records, AsyncIO* aio, uint64_t start = 0);
 
   // A pending read targets the internal buffers; it must finish before
   // destruction.
@@ -28,8 +29,8 @@ class RunReader {
   Status Init();
 
   // CRC-32C of every byte delivered so far, accumulated in file order.
-  // After the run is exhausted this covers the whole file, so the merge
-  // pass can compare it against the checksum recorded at spill time.
+  // After the run is exhausted this covers [start, end), so the merge
+  // pass can check it against the checksum recorded at spill time.
   uint32_t crc32c() const { return crc_; }
 
   // Current record, or nullptr when the run is exhausted. The pointer is
@@ -47,7 +48,7 @@ class RunReader {
 
   File* file_;
   RecordFormat fmt_;
-  uint64_t file_bytes_;
+  uint64_t end_;
   size_t buf_bytes_;
   AsyncIO* aio_;
   std::vector<char> buffers_[2];

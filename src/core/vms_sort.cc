@@ -10,6 +10,7 @@
 #include "core/sorter.h"
 #include "io/buffered_writer.h"
 #include "io/stripe.h"
+#include "sort/merge_partition.h"
 #include "sort/replacement_selection.h"
 
 namespace alphasort {
@@ -47,10 +48,13 @@ Status GenerateRuns(core_internal::SortContext* ctx,
 
   // Sink state: an output ring per run; its running CRC becomes the
   // scratch run's checksum, verified when the merge reads the run back.
+  // Every kSampleStride-th record's key is sampled, as for every other
+  // scratch run, so the merge can partition the runs into key ranges.
   Status sink_error;
   std::unique_ptr<File> run_file;
   std::unique_ptr<BufferedWriter> writer;
   size_t current_run = static_cast<size_t>(-1);
+  uint64_t run_records = 0;
   size_t spare_slot = capacity;  // last workspace slot starts free
 
   const bool direct = *direct_to_output;
@@ -96,16 +100,20 @@ Status GenerateRuns(core_internal::SortContext* ctx,
           return;
         }
         run_file = std::move(f).value();
-        runs->push_back(ScratchRun{path, 0});
+        runs->push_back(ScratchRun{path, 0, 0, {}});
         writer = std::make_unique<BufferedWriter>(
             run_file.get(), ctx->aio, opts.io_chunk_bytes,
             opts.write_buffers);
+        run_records = 0;
       }
     }
     Status s = writer->Append(record, fmt.record_size);
     if (!s.ok()) {
       sink_error = s;
       return;
+    }
+    if (!direct && run_records++ % kSampleStride == 0) {
+      runs->back().sample_keys.append(fmt.KeyPtr(record), fmt.key_size);
     }
     // The emitted record's slot is free for the next arrival. Safe
     // because the tournament's "below last output?" check dereferences

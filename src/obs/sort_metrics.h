@@ -53,9 +53,10 @@ struct SortMetrics {
   uint64_t bytes_out = 0;
   uint64_t num_records = 0;
   uint64_t num_runs = 0;
-  // Key ranges the in-memory merge was split into (1 = the classic single
-  // global tournament; >1 = the §5 partitioned parallel merge, see
-  // SortOptions::merge_parallelism and docs/perf.md).
+  // Key ranges the final merge was split into: the in-memory merge of a
+  // one-pass sort, the last scratch-run merge of a two-pass sort (1 = the
+  // classic single global tournament; >1 = the §5 partitioned parallel
+  // merge, see SortOptions::merge_parallelism and docs/perf.md).
   uint64_t merge_ranges = 1;
   int passes = 1;
   uint64_t scratch_bytes_written = 0;  // two-pass only

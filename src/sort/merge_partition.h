@@ -3,16 +3,22 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "common/slice.h"
+#include "common/status.h"
 #include "record/record.h"
 #include "sort/entry.h"
 #include "sort/merger.h"
 
 namespace alphasort {
 
-// Key-range partitioning of sorted entry runs, the decomposition behind
-// the parallel one-pass merge (docs/perf.md).
+// Key-range partitioning of sorted runs, the decomposition behind every
+// merge the sort runs (docs/perf.md): the one-pass merge and each spill
+// partition in-memory entry runs (PartitionEntryRuns); the scratch-run
+// merge partitions run files from the keys sampled as they were written
+// (PartitionSampledRuns).
 //
 // The paper's root/worker split (§5) parallelizes the QuickSort and
 // gather chores but leaves the tournament merge itself on the root, so
@@ -81,6 +87,50 @@ struct EntryKeyLess {
 MergePartition PartitionEntryRuns(const RecordFormat& format,
                                   const std::vector<EntryRun>& runs,
                                   size_t max_ranges);
+
+// Every kSampleStride-th record of a scratch run (records 0, kSampleStride,
+// 2·kSampleStride, …) has its key recorded as the run is written: about
+// 20 KB of keys for 200 MB of 100-byte records.
+inline constexpr uint64_t kSampleStride = 1024;
+
+// A sorted run known by its length and its sampled keys: key_size bytes
+// per sample, ⌈records / kSampleStride⌉ samples.
+struct SampledRun {
+  uint64_t records = 0;
+  Slice sample_keys;
+};
+
+// Reads records [first, first + n) of run `run` into `dst`.
+using RunRecordReader =
+    std::function<Status(size_t run, uint64_t first, uint64_t n, char* dst)>;
+
+// A key-range split of sampled runs: bounds[r][s] is the record index at
+// which run s's slice for range r begins; row NumRanges() holds the run
+// lengths. Empty slices are kept, so every range sees every run in order.
+struct RunSlices {
+  std::vector<std::vector<uint64_t>> bounds;
+
+  size_t NumRanges() const { return bounds.size() - 1; }
+  uint64_t SliceRecords(size_t range, size_t run) const {
+    return bounds[range + 1][run] - bounds[range][run];
+  }
+  // Records per range, in range order.
+  std::vector<uint64_t> RangeRecords() const;
+};
+
+// PartitionEntryRuns for runs that live in files. Splitters are quantiles
+// of the pooled samples, under the same rules (adjacent duplicates
+// dropped, pure-key upper bounds, so equal keys never straddle a range).
+// A splitter's bound in each run comes from a binary search of that run's
+// samples, then one `read` of the fewer than kSampleStride records
+// between the two bracketing samples, searched for the exact upper bound:
+// (ranges − 1) × runs reads in all. Bounds are clamped to be monotone and
+// inside the run, so the slices tile every run exactly whatever the bytes
+// read say. Fails only when `read` fails.
+Status PartitionSampledRuns(const RecordFormat& format,
+                            const std::vector<SampledRun>& runs,
+                            size_t max_ranges, const RunRecordReader& read,
+                            RunSlices* out);
 
 }  // namespace alphasort
 

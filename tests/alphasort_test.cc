@@ -91,37 +91,65 @@ INSTANTIATE_TEST_SUITE_P(
 // adversarial key distributions alike. Each run uses its own MemEnv but
 // the same generator seed, so the inputs are identical.
 TEST(AlphaSortTest, PartitionedMergeOutputMatchesSequentialCrc) {
-  for (KeyDistribution dist :
-       {KeyDistribution::kUniform, KeyDistribution::kConstant,
-        KeyDistribution::kFewDistinct, KeyDistribution::kSharedPrefix}) {
-    EndToEnd sequential;
-    ASSERT_TRUE(sequential.Prepare(12000, dist, /*striped=*/false).ok());
-    sequential.opts.num_workers = 3;
-    sequential.opts.merge_parallelism = 1;  // force the global tournament
-    sequential.opts.run_size_records = 700;
-    sequential.opts.io_chunk_bytes = 16 * 1024;
-    ASSERT_TRUE(sequential.Sort().ok());
-    ASSERT_TRUE(sequential.Validate().ok());
-    EXPECT_EQ(sequential.metrics.merge_ranges, 1u);
-
-    EndToEnd partitioned;
-    ASSERT_TRUE(partitioned.Prepare(12000, dist, /*striped=*/false).ok());
-    partitioned.opts.num_workers = 3;  // auto: up to 4 key ranges
-    partitioned.opts.run_size_records = 700;
-    partitioned.opts.io_chunk_bytes = 16 * 1024;
-    ASSERT_TRUE(partitioned.Sort().ok());
-    ASSERT_TRUE(partitioned.Validate().ok());
-
-    EXPECT_EQ(partitioned.metrics.output_crc32c,
-              sequential.metrics.output_crc32c)
-        << "distribution " << static_cast<int>(dist);
+  // One-pass merges over four key distributions, then a forced two-pass
+  // sort (11 spilled runs) and a cascade (fan-in 2): every merge of them
+  // goes through the key-range partitioned merge.
+  struct Case {
+    KeyDistribution dist;
+    int force_passes;
+    uint64_t memory_budget;
+    size_t max_merge_fanin;
+  };
+  const SortOptions defaults;
+  const Case cases[] = {
+      {KeyDistribution::kUniform, 0, defaults.memory_budget, 128},
+      {KeyDistribution::kConstant, 0, defaults.memory_budget, 128},
+      {KeyDistribution::kFewDistinct, 0, defaults.memory_budget, 128},
+      {KeyDistribution::kSharedPrefix, 0, defaults.memory_budget, 128},
+      {KeyDistribution::kUniform, 2, 256 * 1024, 128},
+      {KeyDistribution::kUniform, 2, 256 * 1024, 2},
+  };
+  for (const Case& c : cases) {
+    // workers 3 with auto ranges, 3 with one range, and 0.
+    const int workers[3] = {3, 3, 0};
+    const int parallelism[3] = {-1, 1, -1};
+    SortMetrics metrics[3];
+    for (int i = 0; i < 3; ++i) {
+      EndToEnd e2e;
+      ASSERT_TRUE(e2e.Prepare(12000, c.dist, /*striped=*/false).ok());
+      e2e.opts.num_workers = workers[i];
+      e2e.opts.merge_parallelism = parallelism[i];
+      e2e.opts.run_size_records = 700;
+      e2e.opts.io_chunk_bytes = 16 * 1024;
+      e2e.opts.force_passes = c.force_passes;
+      e2e.opts.memory_budget = c.memory_budget;
+      e2e.opts.max_merge_fanin = c.max_merge_fanin;
+      e2e.opts.scratch_path = "scratch";
+      Status s = e2e.Sort();
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_TRUE(e2e.Validate().ok());
+      metrics[i] = e2e.metrics;
+    }
+    const SortMetrics& partitioned = metrics[0];
+    const std::string where =
+        "distribution " + std::to_string(static_cast<int>(c.dist)) +
+        ", passes " + std::to_string(partitioned.passes) + ", fan-in " +
+        std::to_string(c.max_merge_fanin);
+    if (c.force_passes == 2) {
+      EXPECT_EQ(partitioned.passes, 2) << where;
+      EXPECT_GE(partitioned.num_runs, 8u) << where;
+    }
+    EXPECT_EQ(metrics[1].merge_ranges, 1u) << where;
+    EXPECT_EQ(metrics[2].merge_ranges, 1u) << where;
+    EXPECT_EQ(partitioned.output_crc32c, metrics[1].output_crc32c) << where;
+    EXPECT_EQ(partitioned.output_crc32c, metrics[2].output_crc32c) << where;
     // All-equal keys legitimately collapse to one range; the others must
-    // actually split.
-    if (dist == KeyDistribution::kConstant) {
-      EXPECT_EQ(partitioned.metrics.merge_ranges, 1u);
+    // actually split, into at most 2 × num_workers key ranges.
+    if (c.dist == KeyDistribution::kConstant) {
+      EXPECT_EQ(partitioned.merge_ranges, 1u) << where;
     } else {
-      EXPECT_GT(partitioned.metrics.merge_ranges, 1u);
-      EXPECT_LE(partitioned.metrics.merge_ranges, 4u);
+      EXPECT_GT(partitioned.merge_ranges, 1u) << where;
+      EXPECT_LE(partitioned.merge_ranges, 2u * 3) << where;
     }
   }
 }
@@ -492,6 +520,60 @@ TEST(AlphaSortTest, TwoPassSurfacesScratchFaults) {
   fenv.FailAfter(40);  // lands in the spill/merge machinery
   Status s = AlphaSort::Run(&fenv, e2e.opts, &e2e.metrics);
   EXPECT_FALSE(s.ok());
+}
+
+// A two-pass sort's scratch runs are merged in key-range slices; each
+// run's slice CRCs, folded in range order, must still catch a byte
+// flipped on a scratch write.
+TEST(AlphaSortTest, PartitionedScratchMergeCatchesCorruptRuns) {
+  EndToEnd e2e;
+  ASSERT_TRUE(
+      e2e.Prepare(12000, KeyDistribution::kUniform, /*striped=*/false).ok());
+  FaultInjectionEnv fenv(e2e.env.get());
+  e2e.opts.force_passes = 2;
+  e2e.opts.memory_budget = 256 * 1024;
+  e2e.opts.run_size_records = 700;
+  e2e.opts.io_chunk_bytes = 16 * 1024;
+  e2e.opts.num_workers = 3;
+  e2e.opts.scratch_path = "scratch";
+
+  SortMetrics clean;
+  ASSERT_TRUE(AlphaSort::Run(&fenv, e2e.opts, &clean).ok());
+  EXPECT_GT(clean.merge_ranges, 1u);
+  EXPECT_GE(clean.runs_checksum_verified, clean.num_runs);
+
+  FaultPlan plan;
+  plan.seed = 3141;
+  FaultSpec corrupting;
+  corrupting.corrupt_write_prob = 1;  // every scratch write flips a byte
+  plan.overrides.emplace_back("scratch.l", corrupting);
+  fenv.SetPlan(plan);
+  Status s = AlphaSort::Run(&fenv, e2e.opts, &e2e.metrics);
+  fenv.SetPlan(FaultPlan{});
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_GT(fenv.corrupt_writes_injected(), 0u);
+
+  std::vector<std::string> stray;
+  ASSERT_TRUE(e2e.env->ListFiles("scratch", &stray).ok());
+  EXPECT_TRUE(stray.empty()) << stray[0];
+}
+
+// An empty input forced into two passes spills nothing and still writes
+// an empty output.
+TEST(AlphaSortTest, TwoPassSortsEmptyInput) {
+  EndToEnd e2e;
+  ASSERT_TRUE(
+      e2e.Prepare(0, KeyDistribution::kUniform, /*striped=*/false).ok());
+  e2e.opts.force_passes = 2;
+  e2e.opts.num_workers = 3;
+  e2e.opts.scratch_path = "scratch";
+  Status s = e2e.Sort();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(e2e.metrics.passes, 2);
+  EXPECT_EQ(e2e.metrics.num_records, 0u);
+  EXPECT_EQ(e2e.metrics.num_runs, 0u);
+  Status v = e2e.Validate();
+  EXPECT_TRUE(v.ok()) << v.ToString();
 }
 
 // The VMS-sort baseline's replacement-selection runs carry the output

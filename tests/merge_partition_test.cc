@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -296,6 +297,186 @@ TEST(MergePartitionTest, DegenerateInputsYieldSingleRange) {
 
   std::vector<EntryRun> empty;
   EXPECT_EQ(PartitionEntryRuns(fmt, empty, 8).NumRanges(), 1u);
+}
+
+// Sorted runs as record arrays (scratch runs, minus the file), each with
+// the key of every kSampleStride-th record sampled the way a spill
+// samples the run it writes. The runs split one input block in order.
+struct SampledRecordRuns {
+  std::vector<std::vector<char>> records;
+  std::vector<std::string> samples;
+  std::vector<SampledRun> runs;
+};
+
+SampledRecordRuns MakeSampledRuns(const RecordFormat& fmt, const char* block,
+                                  const std::vector<size_t>& lengths) {
+  const size_t rec = fmt.record_size;
+  SampledRecordRuns out;
+  size_t start = 0;
+  for (size_t len : lengths) {
+    std::vector<PrefixEntry> entries(len);
+    if (len > 0) {
+      BuildPrefixEntryArray(fmt, block + start * rec, len, entries.data());
+      SortPrefixEntryArray(fmt, entries.data(), len);
+    }
+    std::vector<char> sorted(len * rec);
+    std::string samples;
+    for (size_t i = 0; i < len; ++i) {
+      memcpy(sorted.data() + i * rec, entries[i].record, rec);
+      if (i % kSampleStride == 0) {
+        samples.append(fmt.KeyPtr(entries[i].record), fmt.key_size);
+      }
+    }
+    out.records.push_back(std::move(sorted));
+    out.samples.push_back(std::move(samples));
+    start += len;
+  }
+  for (size_t s = 0; s < lengths.size(); ++s) {
+    out.runs.push_back(SampledRun{lengths[s], Slice(out.samples[s])});
+  }
+  return out;
+}
+
+// The scratch-run partition: bounds found from the samples plus one
+// bracket read per run and splitter tile every run exactly, keep equal
+// keys inside one range, and the per-range merges of the slices
+// reproduce one global merge pointer for pointer. Runs shorter than one
+// stride, empty runs and runs ending on or just past a stride boundary
+// are all in the mix.
+TEST(MergePartitionTest, SampledRunBoundsTileRunsAndKeepEqualKeysTogether) {
+  const RecordFormat fmt = kDatamationFormat;
+  const size_t rec = fmt.record_size;
+  const size_t max_ranges = 6;
+  const std::vector<size_t> lengths = {3000, 0,    1, 500, 5000,
+                                       1024, 1025, 0, 2049, 4096};
+  size_t n = 0;
+  for (size_t len : lengths) n += len;
+  for (KeyDistribution dist :
+       {KeyDistribution::kConstant, KeyDistribution::kDupHeavy,
+        KeyDistribution::kZipfian}) {
+    SCOPED_TRACE(test::DistributionName(dist));
+    RecordGenerator gen(fmt, 4242);
+    auto block = gen.Generate(dist, n);
+    SampledRecordRuns sampled = MakeSampledRuns(fmt, block.data(), lengths);
+
+    size_t reads = 0;
+    RunSlices slices;
+    ASSERT_TRUE(PartitionSampledRuns(
+                    fmt, sampled.runs, max_ranges,
+                    [&](size_t run, uint64_t first, uint64_t count,
+                        char* dst) {
+                      ++reads;
+                      EXPECT_LT(count, kSampleStride);
+                      EXPECT_LE(first + count, lengths[run]);
+                      memcpy(dst, sampled.records[run].data() + first * rec,
+                             count * rec);
+                      return Status::OK();
+                    },
+                    &slices)
+                    .ok());
+    const size_t ranges = slices.NumRanges();
+    ASSERT_GE(ranges, 1u);
+    EXPECT_LE(ranges, max_ranges);
+    EXPECT_LE(reads, (max_ranges - 1) * lengths.size());
+    if (dist == KeyDistribution::kConstant) {
+      EXPECT_EQ(ranges, 1u);
+    } else {
+      EXPECT_GT(ranges, 1u);
+    }
+
+    // The slices tile every run exactly.
+    ASSERT_EQ(slices.bounds.size(), ranges + 1);
+    uint64_t covered = 0;
+    for (uint64_t records : slices.RangeRecords()) covered += records;
+    EXPECT_EQ(covered, n);
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      EXPECT_EQ(slices.bounds[0][s], 0u);
+      EXPECT_EQ(slices.bounds[ranges][s], lengths[s]);
+      for (size_t r = 0; r < ranges; ++r) {
+        EXPECT_LE(slices.bounds[r][s], slices.bounds[r + 1][s]);
+      }
+    }
+
+    // Equal keys never straddle a range: every key of range r sorts
+    // strictly below every key of range r + 1.
+    for (size_t r = 0; r + 1 < ranges; ++r) {
+      const char* top = nullptr;
+      const char* bottom = nullptr;
+      for (size_t s = 0; s < lengths.size(); ++s) {
+        const char* base = sampled.records[s].data();
+        const uint64_t cut = slices.bounds[r + 1][s];
+        if (slices.SliceRecords(r, s) > 0) {
+          const char* last = base + (cut - 1) * rec;
+          if (top == nullptr || fmt.CompareKeys(last, top) > 0) top = last;
+        }
+        if (slices.SliceRecords(r + 1, s) > 0) {
+          const char* first = base + cut * rec;
+          if (bottom == nullptr || fmt.CompareKeys(first, bottom) < 0) {
+            bottom = first;
+          }
+        }
+      }
+      if (top != nullptr && bottom != nullptr) {
+        EXPECT_LT(fmt.CompareKeys(top, bottom), 0)
+            << "equal keys straddle ranges " << r << " and " << r + 1;
+      }
+    }
+
+    // Merging each range's slices, in range order, is one global merge.
+    std::vector<std::vector<PrefixEntry>> entries(lengths.size());
+    std::vector<EntryRun> whole;
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      for (size_t i = 0; i < lengths[s]; ++i) {
+        entries[s].push_back(
+            MakePrefixEntry(fmt, sampled.records[s].data() + i * rec));
+      }
+      whole.push_back(EntryRun{entries[s].data(),
+                               entries[s].data() + entries[s].size()});
+    }
+    RunMerger<> sequential(fmt, whole);
+    std::vector<const char*> expected;
+    while (!sequential.Done()) expected.push_back(sequential.Next());
+    std::vector<const char*> partitioned;
+    for (size_t r = 0; r < ranges; ++r) {
+      std::vector<EntryRun> slice_runs;
+      for (size_t s = 0; s < lengths.size(); ++s) {
+        slice_runs.push_back(
+            EntryRun{entries[s].data() + slices.bounds[r][s],
+                     entries[s].data() + slices.bounds[r + 1][s]});
+      }
+      RunMerger<> merger(fmt, slice_runs);
+      while (!merger.Done()) partitioned.push_back(merger.Next());
+    }
+    ASSERT_EQ(partitioned, expected);
+  }
+}
+
+// Sampled runs take the same one-range shortcuts as entry runs: one run,
+// only empty runs, or a single wanted range.
+TEST(MergePartitionTest, DegenerateSampledRunsYieldSingleRange) {
+  const RecordFormat fmt = kDatamationFormat;
+  RecordGenerator gen(fmt, 37);
+  auto block = gen.Generate(KeyDistribution::kUniform, 6000);
+  auto no_reads = [](size_t, uint64_t, uint64_t, char*) {
+    ADD_FAILURE() << "no bracket read expected";
+    return Status::OK();
+  };
+  for (const std::vector<size_t>& lengths :
+       {std::vector<size_t>{6000}, std::vector<size_t>{0, 0},
+        std::vector<size_t>{}}) {
+    SampledRecordRuns sampled = MakeSampledRuns(fmt, block.data(), lengths);
+    RunSlices slices;
+    ASSERT_TRUE(
+        PartitionSampledRuns(fmt, sampled.runs, 8, no_reads, &slices).ok());
+    ASSERT_EQ(slices.NumRanges(), 1u);
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      EXPECT_EQ(slices.SliceRecords(0, s), lengths[s]);
+    }
+  }
+  SampledRecordRuns two = MakeSampledRuns(fmt, block.data(), {3000, 3000});
+  RunSlices slices;
+  ASSERT_TRUE(PartitionSampledRuns(fmt, two.runs, 1, no_reads, &slices).ok());
+  EXPECT_EQ(slices.NumRanges(), 1u);
 }
 
 }  // namespace
