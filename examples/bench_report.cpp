@@ -1,23 +1,26 @@
-// bench_report: the canonical benchmark suite behind the BENCH_*.json
-// perf trajectory (scripts/bench.sh, scripts/bench_compare.py).
+// bench_report: the microbenchmark and paper-table suites behind the
+// BENCH_*.json trajectory (scripts/bench.sh, scripts/bench_compare.py).
 //
 //   ./bench_report [--smoke] [--name NAME] [--out FILE]
 //                  [--suite NAME]... [--workers K]
 //
-// Runs eight suites — the paper's run-generation comparison (§4
+// Runs five suites — the paper's run-generation comparison (§4
 // QuickSort vs replacement-selection), output-stripe scaling (§6),
-// the 8B-vs-16B entry ablation (§7), an end-to-end in-memory
-// Datamation sort, hot-kernel microbenchmarks (entry build, merge,
-// gather, partitioned merge; docs/perf.md), the streaming-ingest
-// source comparison (file vs mmap vs stream; docs/api.md), SortService
-// concurrency scaling (docs/service.md), and the networked service
-// end to end over loopback (docs/net.md) — and writes one BenchReport JSON
+// the 8B-vs-16B entry ablation (§7), hot-kernel microbenchmarks (entry
+// build, merge, gather, partitioned merge; docs/perf.md) and SortService
+// concurrency scaling (docs/service.md) — and writes one BenchReport JSON
 // (kind "alphasort.bench_report") with a numeric metrics object per
-// configuration. --smoke shrinks every input so the whole suite runs in
-// seconds (CI); sizes are part of each entry's config string, so smoke
-// and full runs never silently compare against each other. --suite
-// filters to the named suite(s); --out defaults to BENCH_<name>.json in
-// the current directory.
+// configuration. End-to-end sort speed is not measured here: the
+// benchmark of record is perfbench/ (BENCHMARK.json). --smoke shrinks
+// every input so the whole suite runs in seconds (CI); sizes are part of
+// each entry's config string, so smoke and full runs never silently
+// compare against each other. --suite filters to the named suite(s);
+// --out defaults to BENCH_<name>.json in the current directory.
+//
+// A row whose measured work fails (a failed or unverified sort, a short
+// service job count, a kernel that disagrees with its reference or loses
+// records) is named on stderr; the report is still written, and the run
+// exits 1.
 
 #include <algorithm>
 #include <chrono>
@@ -27,19 +30,15 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchlib/datamation.h"
-#include "benchlib/net_bench.h"
 #include "benchlib/service_bench.h"
 #include "common/checksum.h"
 #include "common/huge_pages.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
 #include "common/table.h"
-#include "core/alphasort.h"
-#include "core/record_source.h"
 #include "core/sorter.h"
 #include "obs/report.h"
 #include "record/generator.h"
@@ -67,6 +66,17 @@ struct BenchConfig {
   bool smoke = false;
   int workers = 3;
 };
+
+// "suite: config" of every row whose measured work failed; main exits 1
+// on any, after writing the report.
+std::vector<std::string> g_failed_rows;
+
+void FailRow(const char* suite, const std::string& config,
+             const std::string& why) {
+  std::string row = StrFormat("%s: %s", suite, config.c_str());
+  fprintf(stderr, "FAILED %s: %s\n", row.c_str(), why.c_str());
+  g_failed_rows.push_back(std::move(row));
+}
 
 // --- §4: QuickSort vs replacement-selection run generation.
 void RunQuicksortVsReplacement(const BenchConfig& cfg,
@@ -127,20 +137,23 @@ void RunQuicksortVsReplacement(const BenchConfig& cfg,
 void RunStriping(const BenchConfig& cfg, obs::BenchReport* report) {
   const uint64_t records = cfg.smoke ? 50000 : 500000;
   for (const size_t width : {1, 2, 4}) {
+    const std::string config =
+        StrFormat("width=%zu n=%llu workers=%d", width,
+                  static_cast<unsigned long long>(records), cfg.workers);
     std::unique_ptr<Env> env = NewMemEnv();
     InputSpec spec;
     spec.path = StrFormat("bench_in_w%zu.str", width);
     spec.num_records = records;
     spec.stripe_width = width;
     if (Status s = CreateInputFile(env.get(), spec); !s.ok()) {
-      fprintf(stderr, "striping input: %s\n", s.ToString().c_str());
+      FailRow("striping", config, "input: " + s.ToString());
       continue;
     }
     const std::string out = StrFormat("bench_out_w%zu.str", width);
     if (Status s = CreateOutputDefinition(env.get(), out, width,
                                           spec.stride_bytes);
         !s.ok()) {
-      fprintf(stderr, "striping output: %s\n", s.ToString().c_str());
+      FailRow("striping", config, "output: " + s.ToString());
       continue;
     }
     SortOptions opts;
@@ -153,17 +166,16 @@ void RunStriping(const BenchConfig& cfg, obs::BenchReport* report) {
       return r;
     }());
     const SortResult& result = sorter.Start(opts).Wait();
-    if (!result.status.ok()) {
-      fprintf(stderr, "striping sort: %s\n",
-              result.status.ToString().c_str());
+    Status s = result.status;
+    if (s.ok()) s = ValidateSortedFile(env.get(), spec.path, out, opts.format);
+    if (!s.ok()) {
+      FailRow("striping", config, s.ToString());
       continue;
     }
     const SortMetrics& m = result.metrics;
     obs::BenchEntry e;
     e.suite = "striping";
-    e.config = StrFormat("width=%zu n=%llu workers=%d", width,
-                         static_cast<unsigned long long>(records),
-                         cfg.workers);
+    e.config = config;
     e.values = {{"seconds", m.total_s},
                 {"mb_per_s", m.Throughput().mb_per_s},
                 {"read_phase_s", m.read_phase_s},
@@ -210,52 +222,6 @@ void RunEntryWidth(const BenchConfig& cfg, obs::BenchReport* report) {
                 {"ties_per_record", double(stats.tie_breaks) / n}};
     report->entries.push_back(std::move(e));
   }
-}
-
-// --- End-to-end Datamation sort, in-memory Env.
-void RunDatamation(const BenchConfig& cfg, obs::BenchReport* report) {
-  const uint64_t records = cfg.smoke ? 100000 : 1000000;
-  std::unique_ptr<Env> env = NewMemEnv();
-  InputSpec spec;
-  spec.path = "bench_datamation_in.dat";
-  spec.num_records = records;
-  if (Status s = CreateInputFile(env.get(), spec); !s.ok()) {
-    fprintf(stderr, "datamation input: %s\n", s.ToString().c_str());
-    return;
-  }
-  SortOptions opts;
-  opts.input_path = spec.path;
-  opts.output_path = "bench_datamation_out.dat";
-  opts.num_workers = cfg.workers;
-  Sorter sorter(env.get(), [&cfg] {
-    Sorter::Resources r;
-    r.num_workers = cfg.workers;
-    return r;
-  }());
-  const SortResult& result = sorter.Start(opts).Wait();
-  if (!result.status.ok()) {
-    fprintf(stderr, "datamation sort: %s\n",
-            result.status.ToString().c_str());
-    return;
-  }
-  const SortMetrics& m = result.metrics;
-  if (Status s = ValidateSortedFile(env.get(), spec.path, opts.output_path,
-                                    opts.format);
-      !s.ok()) {
-    fprintf(stderr, "datamation validate: %s\n", s.ToString().c_str());
-    return;
-  }
-  obs::BenchEntry e;
-  e.suite = "datamation";
-  e.config = StrFormat("n=%llu workers=%d mem",
-                       static_cast<unsigned long long>(records),
-                       cfg.workers);
-  e.values = {{"seconds", m.total_s},
-              {"mb_per_s", m.Throughput().mb_per_s},
-              {"records_per_s", m.Throughput().records_per_s},
-              {"read_phase_s", m.read_phase_s},
-              {"merge_phase_s", m.merge_phase_s}};
-  report->entries.push_back(std::move(e));
 }
 
 // --- Hot-kernel microbenchmarks behind docs/perf.md: entry build,
@@ -357,7 +323,8 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
             {"simd_active", active}});
     }
     if (crcs[0] != crcs[1]) {
-      fprintf(stderr, "kernels: crc32c hardware != slice-by-8!\n");
+      FailRow("kernels", StrFormat("kernel=crc32c n=%zu", n),
+              "hardware CRC != slice-by-8");
     }
   }
 
@@ -431,13 +398,14 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
     for (auto& kv : simulate_kernel(SortKernel::kRadixHybrid)) {
       values.push_back(std::move(kv));
     }
-    push(StrFormat("kernel=radix_hybrid n=%zu W=%zu", n, run_records),
-         std::move(values));
+    const std::string config =
+        StrFormat("kernel=radix_hybrid n=%zu W=%zu", n, run_records);
+    push(config, std::move(values));
     // Cross-check: both kernels must agree bit for bit (same total
     // order); a mismatch is a correctness bug, not a perf question.
     if (memcmp(entries.data(), radix_entries.data(),
                n * sizeof(PrefixEntry)) != 0) {
-      fprintf(stderr, "kernels: radix_hybrid != quicksort output!\n");
+      FailRow("kernels", config, "output != quicksort output");
     }
   }
 
@@ -482,6 +450,9 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
   // to back (see the suite comment for why), each timed alone.
   double seq_critical_path = 0;
   for (const size_t max_ranges : {size_t{1}, size_t{2}, size_t{4}}) {
+    const std::string config =
+        StrFormat("kernel=pmerge n=%zu runs=%zu max_ranges=%zu", n,
+                  runs.size(), max_ranges);
     MergePartition part;
     const double partition_s = TimedSeconds(
         [&] { part = PartitionEntryRuns(fmt, runs, max_ranges); });
@@ -503,14 +474,14 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
       max_range_s = std::max(max_range_s, range_s);
     }
     if (produced != n) {
-      fprintf(stderr, "kernels: partitioned merge produced %llu of %zu\n",
-              static_cast<unsigned long long>(produced), n);
+      FailRow("kernels", config,
+              StrFormat("produced %llu records",
+                        static_cast<unsigned long long>(produced)));
       continue;
     }
     const double critical_path_s = partition_s + max_range_s;
     if (max_ranges == 1) seq_critical_path = critical_path_s;
-    push(StrFormat("kernel=pmerge n=%zu runs=%zu max_ranges=%zu", n,
-                   runs.size(), max_ranges),
+    push(config,
          {{"wall_s", partition_s + sum_s},
           {"partition_s", partition_s},
           {"critical_path_s", critical_path_s},
@@ -566,18 +537,18 @@ void RunService(const BenchConfig& cfg, obs::BenchReport* report) {
       sb.job_budget = 16ull << 20;
       sb.num_workers = cfg.workers;
       sb.inject_faults = faults;
+      const std::string config = StrFormat(
+          "jobs=%d running=%d n=%llu workers=%d faults=%d", sb.num_jobs,
+          running, static_cast<unsigned long long>(records), cfg.workers,
+          faults ? 1 : 0);
       const ServiceBenchResult r = RunServiceBench(sb);
       if (r.jobs_ok != sb.num_jobs) {
-        fprintf(stderr, "service bench (running=%d faults=%d): %s\n",
-                running, faults, r.ToString().c_str());
+        FailRow("service", config, r.ToString());
         continue;
       }
       obs::BenchEntry e;
       e.suite = "service";
-      e.config = StrFormat(
-          "jobs=%d running=%d n=%llu workers=%d faults=%d", sb.num_jobs,
-          running, static_cast<unsigned long long>(records), cfg.workers,
-          faults ? 1 : 0);
+      e.config = config;
       e.values = {{"seconds", r.wall_s},
                   {"aggregate_mb_per_s", r.aggregate_mb_per_s},
                   {"peak_admitted_mb", r.peak_admitted_bytes / 1e6},
@@ -585,153 +556,6 @@ void RunService(const BenchConfig& cfg, obs::BenchReport* report) {
       report->entries.push_back(std::move(e));
     }
   }
-}
-
-// --- Networked service over loopback: framing + streamed ingest + sort +
-// stream-back, as a tenant observes it (docs/net.md). Sizes are FIXED
-// regardless of --smoke (like the kernel suite) so the committed
-// baseline and the CI run compare like with like; the 100-client
-// configuration keeps the acceptance-scale concurrency in the
-// trajectory.
-void RunNet(const BenchConfig& cfg, obs::BenchReport* report) {
-  struct Shape {
-    int clients;
-    uint64_t records;
-  };
-  const Shape shapes[] = {{4, 2000}, {16, 2000}, {100, 2000}, {2, 100000}};
-  for (const Shape& shape : shapes) {
-    NetBenchConfig nb;
-    nb.num_clients = shape.clients;
-    nb.records_per_client = shape.records;
-    nb.max_running = 4;
-    nb.num_workers = cfg.workers;
-    const NetBenchResult r = RunNetBench(nb);
-    if (r.jobs_ok != shape.clients) {
-      fprintf(stderr, "net bench (clients=%d n=%llu): %s\n", shape.clients,
-              static_cast<unsigned long long>(shape.records),
-              r.ToString().c_str());
-      continue;
-    }
-    obs::BenchEntry e;
-    e.suite = "net";
-    e.config = StrFormat("clients=%d n=%llu running=4 workers=%d",
-                         shape.clients,
-                         static_cast<unsigned long long>(shape.records),
-                         cfg.workers);
-    e.values = {{"seconds", r.wall_s},
-                {"aggregate_mb_per_s", r.aggregate_mb_per_s},
-                {"jobs_ok", double(r.jobs_ok)},
-                {"p50_us", r.p50_us},
-                {"p95_us", r.p95_us},
-                {"p99_us", r.p99_us}};
-    report->entries.push_back(std::move(e));
-  }
-}
-
-// --- Streaming-ingest front end (docs/api.md): the same page-cache-
-// resident input sorted through each RecordSource. `file` is the
-// input_path sugar (FileRecordSource's readahead ring through AsyncIO),
-// `mmap` maps the resident pages and builds entries over them without
-// copying a record until the gather, `stream` replays the bytes through
-// a producer thread and the bounded StreamRecordSource — the network
-// path's ingest without the network. The input is written and read back
-// once before timing, so all three sources see warm pages; at this
-// shape mmap's zero-copy one-pass is expected to beat the plain file
-// source (the read phase disappears into the entry build).
-void RunIngest(const BenchConfig& cfg, obs::BenchReport* report) {
-  const uint64_t records = cfg.smoke ? 200000 : 1000000;
-  const uint64_t bytes = records * kDatamationFormat.record_size;
-  Env* env = GetPosixEnv();
-  const std::string prefix = "/tmp/alphasort_bench_ingest";
-  const std::string in_path = prefix + "_in.dat";
-  const std::string out_path = prefix + "_out.dat";
-
-  InputSpec spec;
-  spec.path = in_path;
-  spec.num_records = records;
-  if (Status s = CreateInputFile(env, spec); !s.ok()) {
-    fprintf(stderr, "ingest input: %s\n", s.ToString().c_str());
-    return;
-  }
-  // Warm the page cache and keep a copy for the stream producer.
-  std::vector<char> resident(bytes);
-  {
-    FILE* f = fopen(in_path.c_str(), "rb");
-    if (f == nullptr ||
-        fread(resident.data(), 1, bytes, f) != bytes) {
-      fprintf(stderr, "ingest: warming read of %s failed\n",
-              in_path.c_str());
-      if (f != nullptr) fclose(f);
-      return;
-    }
-    fclose(f);
-  }
-
-  auto run_one = [&](const char* source_name, SortOptions opts,
-                     std::thread* producer) {
-    opts.output_path = out_path;
-    opts.scratch_path = prefix + "_scratch";
-    opts.num_workers = cfg.workers;
-    // Resident shape: the whole input fits the budget, so every source
-    // gets the one-pass plan and the contiguous ones get zero-copy.
-    opts.memory_budget = std::max<uint64_t>(256ull << 20, 2 * bytes);
-    Sorter sorter(env, [&cfg] {
-      Sorter::Resources r;
-      r.num_workers = cfg.workers;
-      return r;
-    }());
-    const SortResult& result = sorter.Start(opts).Wait();
-    if (producer != nullptr && producer->joinable()) producer->join();
-    if (!result.status.ok()) {
-      fprintf(stderr, "ingest sort (%s): %s\n", source_name,
-              result.status.ToString().c_str());
-      return;
-    }
-    const SortMetrics& m = result.metrics;
-    obs::BenchEntry e;
-    e.suite = "ingest";
-    e.config = StrFormat("source=%s n=%llu workers=%d resident",
-                         source_name,
-                         static_cast<unsigned long long>(records),
-                         cfg.workers);
-    e.values = {{"seconds", m.total_s},
-                {"mb_per_s", m.Throughput().mb_per_s},
-                {"read_phase_s", m.read_phase_s},
-                {"merge_phase_s", m.merge_phase_s}};
-    report->entries.push_back(std::move(e));
-  };
-
-  {
-    SortOptions opts;
-    opts.input_path = in_path;
-    run_one("file", std::move(opts), nullptr);
-  }
-  {
-    SortOptions opts;
-    opts.source = [in_path] {
-      return std::make_shared<MmapRecordSource>(in_path);
-    };
-    run_one("mmap", std::move(opts), nullptr);
-  }
-  {
-    auto stream = std::make_shared<StreamRecordSource>();
-    SortOptions opts;
-    opts.source = [stream]() -> std::shared_ptr<RecordSource> {
-      return stream;
-    };
-    std::thread producer([stream, &resident] {
-      const size_t chunk = 1 << 20;
-      for (size_t off = 0; off < resident.size(); off += chunk) {
-        const size_t n = std::min(chunk, resident.size() - off);
-        if (!stream->Append(resident.data() + off, n)) break;
-      }
-      stream->CloseWrite();
-    });
-    run_one("stream", std::move(opts), &producer);
-  }
-
-  env->DeleteFile(in_path);
-  env->DeleteFile(out_path);
 }
 
 }  // namespace
@@ -771,12 +595,17 @@ int main(int argc, char** argv) {
           {"quicksort_vs_replacement", RunQuicksortVsReplacement},
           {"striping", RunStriping},
           {"entry_width", RunEntryWidth},
-          {"datamation", RunDatamation},
           {"kernels", RunKernels},
-          {"ingest", RunIngest},
           {"service", RunService},
-          {"net", RunNet},
       };
+  for (const std::string& want : only) {
+    if (std::none_of(
+            std::begin(suites), std::end(suites),
+            [&want](const auto& suite) { return want == suite.first; })) {
+      fprintf(stderr, "bench_report: unknown suite %s\n", want.c_str());
+      return 2;
+    }
+  }
   for (const auto& [suite_name, fn] : suites) {
     if (!only.empty() &&
         std::find(only.begin(), only.end(), suite_name) == only.end()) {
@@ -786,7 +615,7 @@ int main(int argc, char** argv) {
     fn(cfg, &report);
   }
   if (report.entries.empty()) {
-    fprintf(stderr, "bench_report: no suites ran\n");
+    fprintf(stderr, "bench_report: no rows measured\n");
     return 1;
   }
 
@@ -808,5 +637,13 @@ int main(int argc, char** argv) {
   printf("\n%s", report.ToText().c_str());
   printf("\nwrote %s (%zu entries)\n", out_path.c_str(),
          report.entries.size());
+  if (!g_failed_rows.empty()) {
+    fprintf(stderr, "bench_report: %zu row(s) failed:\n",
+            g_failed_rows.size());
+    for (const std::string& row : g_failed_rows) {
+      fprintf(stderr, "  %s\n", row.c_str());
+    }
+    return 1;
+  }
   return 0;
 }

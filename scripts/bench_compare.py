@@ -8,7 +8,8 @@ Entries are matched by (suite, config); for every metric present in both
 the relative change is printed, and a change past --threshold (default
 0.25, i.e. 25%) in the *worse* direction counts as a regression. Metrics
 named *_s or *_ms or *_us or named "seconds" are lower-is-better
-(times); everything else (throughputs, counts) is higher-is-better.
+(times), except rates named *_per_s; everything else (throughputs,
+counts) is higher-is-better.
 Structural metrics (runs, avg_run_over_W, ties_per_record, ...) describe
 the workload, not its speed, and are compared for drift in either
 direction.
@@ -22,10 +23,13 @@ Two tiers of enforcement (docs/perf.md):
     every structural metric at once. --band FRAC (default: the
     --threshold value) is the tolerance used for promoted metrics, so
     the hard gate can carry a wider noise band than the advisory tier.
+  * With any --fail-on, a baseline (suite, config) missing from NEW is
+    an enforced regression: a row dropped because its run failed must
+    fail the gate, not vanish from it. Rows only in NEW are notes.
 
 Exit status: 0 when no enforced regression, 1 on an enforced regression
-(any regression without --warn-only; a --fail-on regression always),
-2 on usage/schema errors.
+(any regression without --warn-only; a --fail-on regression or missing
+row always), 2 on usage/schema errors.
 """
 
 import argparse
@@ -47,8 +51,8 @@ STRUCTURAL = {
     # partitioner actually produced. A drift means the splitter sampling
     # changed shape, not that the merge got faster or slower.
     "ranges",
-    # The net suite's job accounting: every configured job must keep
-    # succeeding; a drift means the harness shape changed.
+    # Job accounting in sort_loadgen's report: every configured job must
+    # keep succeeding; a drift means the harness shape changed.
     "jobs_ok",
     "jobs_failed",
     # The kernels suite's in-cache sort shape. simd_active says whether
@@ -63,6 +67,10 @@ STRUCTURAL = {
 
 
 def lower_is_better(metric: str) -> bool:
+    # Rates (mb_per_s, records_per_s, ...) carry the time suffix but are
+    # throughputs.
+    if metric.endswith("_per_s"):
+        return False
     # sim_* metrics are cache-simulator miss/stall counts: fewer is
     # always better regardless of the unit suffix.
     return (
@@ -174,18 +182,23 @@ def main() -> int:
 
     only_base = sorted(base.keys() - new.keys())
     only_new = sorted(new.keys() - base.keys())
+    missing = only_base if fail_on else []
     for key in only_base:
-        print(f"note: {key[0]}: {key[1]} only in {args.baseline}")
+        if fail_on:
+            print(f"{key[0]}: {key[1]}  <-- MISSING from {args.new} (enforced)")
+        else:
+            print(f"note: {key[0]}: {key[1]} only in {args.baseline}")
     for key in only_new:
         print(f"note: {key[0]}: {key[1]} only in {args.new}")
     if compared == 0:
         sys.exit("bench_compare: no comparable (suite, config) pairs")
 
     print()
-    if hard:
+    if hard or missing:
         print(
             f"bench_compare: {len(hard)} enforced regression(s) past "
-            f"{band:.0%} across {compared} metric(s)"
+            f"{band:.0%} across {compared} metric(s), "
+            f"{len(missing)} baseline row(s) missing"
         )
         return 1
     if soft:

@@ -6,7 +6,7 @@
 #   ./scripts/ci.sh --stage=sanitizers  # ASan+UBSan suite, TSan suites
 #   ./scripts/ci.sh --stage=smokes   # fault/obs/service/net smoke gates
 #   ./scripts/ci.sh --stage=api      # strict-deprecation build + lints
-#   ./scripts/ci.sh --stage=bench    # bench trajectories vs baselines
+#   ./scripts/ci.sh --stage=bench    # bench trajectories + perfbench selftest
 #
 # The stages are independent (each configures the build trees it needs),
 # so .github/workflows/ci.yml fans them out as parallel matrix jobs.
@@ -458,35 +458,16 @@ stage_bench() {
   python3 scripts/bench_compare.py BENCH_kernels.json \
     ci-artifacts/BENCH_kernels.json --warn-only --threshold 0.5 \
     --fail-on structural --fail-on critical_path_s --band 0.6
+  # The gate must be able to fail: a baseline row the fresh run lacks is
+  # an enforced regression (tests/bench_compare_test.py).
+  run_ctest build -R bench_compare_test
 
   echo
-  echo "=== net bench: wire-path suite vs committed BENCH_net.json ==="
-  # Full wire path (frame + streamed ingest + sort + stream-back) at the
-  # committed
-  # shapes. Job accounting is structural -- every configured job must
-  # keep succeeding -- while latency percentiles warn only.
-  ./build/examples/bench_report --suite net --name net \
-    --out ci-artifacts/BENCH_net.json
-  ./build/examples/report_lint ci-artifacts/BENCH_net.json
-  if [[ -f BENCH_net.json ]]; then
-    python3 scripts/bench_compare.py BENCH_net.json \
-      ci-artifacts/BENCH_net.json --warn-only --threshold 0.5 \
-      --fail-on structural --band 0.6
-  fi
-
-  echo
-  echo "=== ingest bench: source comparison vs committed BENCH_ingest.json ==="
-  # The streaming-ingest front end (docs/api.md) at the resident-input
-  # shape: file (readahead ring) vs mmap (zero-copy) vs stream (bounded
-  # producer). Wall-clock warns only — shared CI machines can't hold the
-  # mmap-beats-file margin reliably; the committed baseline records it.
-  ./build/examples/bench_report --suite ingest --name ingest \
-    --out ci-artifacts/BENCH_ingest.json
-  ./build/examples/report_lint ci-artifacts/BENCH_ingest.json
-  if [[ -f BENCH_ingest.json ]]; then
-    python3 scripts/bench_compare.py BENCH_ingest.json \
-      ci-artifacts/BENCH_ingest.json --warn-only --threshold 0.5
-  fi
+  echo "=== benchmark self-test: every perfbench workload, tiny and verified ==="
+  # Speed claims are perfbench's (BENCHMARK.json); here each workload
+  # runs at tiny scale, untraced and traced, and must report
+  # verified_rate 1, no failed operations and a replay CRC match.
+  python3 perfbench/selftest.py
 }
 
 # --- driver ----------------------------------------------------------
