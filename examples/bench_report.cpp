@@ -331,10 +331,11 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
   // Cache-sim miss counts per in-cache kernel, on one W-sized run (the
   // simulator is ~1000x slower than the real kernel, so the sample stays
   // small; the counts are per-kernel shape, not throughput).
-  auto simulate_kernel = [&](SortKernel kernel) {
+  auto simulate_kernel = [&](const std::vector<char>& blk,
+                             SortKernel kernel) {
     const size_t sim_n = std::min(run_records, n);
     std::vector<PrefixEntry> sim_entries(sim_n);
-    BuildPrefixEntryArray(fmt, block.data(), sim_n, sim_entries.data());
+    BuildPrefixEntryArray(fmt, blk.data(), sim_n, sim_entries.data());
     CacheSim sim;
     SortStats stats;
     if (kernel == SortKernel::kRadixHybrid) {
@@ -350,35 +351,36 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
         {"sim_stall_cycles", double(cs.StallCycles())}};
   };
 
-  // QuickSort the read phase's runs; the sorted entries feed every merge
-  // kernel below.
-  std::vector<PrefixEntry> entries(n);
-  BuildPrefixEntryArray(fmt, block.data(), n, entries.data());
-  size_t num_runs = 0;
-  const double qs_s = TimedSeconds([&] {
-    for (size_t start = 0; start < n; start += run_records) {
-      SortPrefixEntryArray(fmt, entries.data() + start,
-                           std::min(run_records, n - start));
-      ++num_runs;
+  // QuickSort the read phase's runs of `blk`, then the MSB-radix hybrid
+  // (sort/radix_partition.h) over the same runs on fresh entries. Returns
+  // the QuickSorted entries.
+  auto sort_rows = [&](const std::vector<char>& blk,
+                       const std::string& suffix) {
+    std::vector<PrefixEntry> sorted(n);
+    BuildPrefixEntryArray(fmt, blk.data(), n, sorted.data());
+    size_t num_runs = 0;
+    const double qs_s = TimedSeconds([&] {
+      for (size_t start = 0; start < n; start += run_records) {
+        SortPrefixEntryArray(fmt, sorted.data() + start,
+                             std::min(run_records, n - start));
+        ++num_runs;
+      }
+    });
+    {
+      std::vector<std::pair<std::string, double>> values = {
+          {"seconds", qs_s},
+          {"records_per_s", n / qs_s},
+          {"runs", double(num_runs)}};
+      for (auto& kv : simulate_kernel(blk, SortKernel::kQuickSort)) {
+        values.push_back(std::move(kv));
+      }
+      push(StrFormat("kernel=quicksort n=%zu W=%zu", n, run_records) +
+               suffix,
+           std::move(values));
     }
-  });
-  {
-    std::vector<std::pair<std::string, double>> values = {
-        {"seconds", qs_s},
-        {"records_per_s", n / qs_s},
-        {"runs", double(num_runs)}};
-    for (auto& kv : simulate_kernel(SortKernel::kQuickSort)) {
-      values.push_back(std::move(kv));
-    }
-    push(StrFormat("kernel=quicksort n=%zu W=%zu", n, run_records),
-         std::move(values));
-  }
 
-  // The MSB-radix hybrid over the same runs (sort/radix_partition.h).
-  // Fresh entries: the quicksort loop above sorted `entries` in place.
-  {
     std::vector<PrefixEntry> radix_entries(n);
-    BuildPrefixEntryArray(fmt, block.data(), n, radix_entries.data());
+    BuildPrefixEntryArray(fmt, blk.data(), n, radix_entries.data());
     RadixStats shape;
     size_t radix_runs = 0;
     const double rx_s = TimedSeconds([&] {
@@ -395,19 +397,27 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
         {"runs", double(radix_runs)},
         {"radix_passes", double(shape.partition_passes)},
         {"tie_shortcuts", double(shape.tie_shortcuts)}};
-    for (auto& kv : simulate_kernel(SortKernel::kRadixHybrid)) {
+    for (auto& kv : simulate_kernel(blk, SortKernel::kRadixHybrid)) {
       values.push_back(std::move(kv));
     }
     const std::string config =
-        StrFormat("kernel=radix_hybrid n=%zu W=%zu", n, run_records);
+        StrFormat("kernel=radix_hybrid n=%zu W=%zu", n, run_records) + suffix;
     push(config, std::move(values));
     // Cross-check: both kernels must agree bit for bit (same total
     // order); a mismatch is a correctness bug, not a perf question.
-    if (memcmp(entries.data(), radix_entries.data(),
+    if (memcmp(sorted.data(), radix_entries.data(),
                n * sizeof(PrefixEntry)) != 0) {
       FailRow("kernels", config, "output != quicksort output");
     }
-  }
+    return sorted;
+  };
+
+  // The sorted uniform entries feed every merge kernel below. The
+  // dist=zipfian twins gate the tie-heavy key shape of the net workload,
+  // whose hot keys reach the introsort's tie-break path.
+  const std::vector<PrefixEntry> entries = sort_rows(block, "");
+  sort_rows(RecordGenerator(fmt, 99).Generate(KeyDistribution::kZipfian, n),
+            " dist=zipfian");
 
   std::vector<EntryRun> runs;
   for (size_t start = 0; start < n; start += run_records) {

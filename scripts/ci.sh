@@ -173,7 +173,10 @@ stage_smokes() {
   # hardware counters populated or explicitly unavailable.
   ./build/examples/report_lint ci-artifacts/report.json
   # Schema 1.3: the record block's huge-page bytes must be reported, as
-  # a number or as "unknown" (containers often deny PAGEMAP_SCAN).
+  # a number or as "unknown" (containers often deny PAGEMAP_SCAN). The
+  # run sort must be the radix hybrid down to few-entry buckets: fewer
+  # than 2 introsort compares per record (an introsort over 390-entry
+  # buckets pays about 7).
   python3 - ci-artifacts/report.json <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -183,6 +186,9 @@ assert value == "unknown" or (
     isinstance(value, (int, float)) and not isinstance(value, bool)
     and value >= 0), value
 print(f"report: record_block_huge_page_bytes = {value}")
+per_record = report["sort_stats"]["quicksort"]["compares"] / report["records"]
+assert per_record < 2, per_record
+print(f"report: run-sort compares per record = {per_record:.2f}")
 PY
   # A non-default pass body gets the same phase stages from the shared
   # phase clock: a traced two-pass replacement-selection (vms) sort must

@@ -140,10 +140,11 @@ struct SortOptions {
 
   // In-cache sort kernel for run generation (sort/sort_kernel.h):
   // kQuickSort is the paper's key-prefix introsort, kRadixHybrid puts
-  // MSB-radix partition passes over the prefixes in front of it, kAuto
-  // picks by run size. Both produce byte-identical output (same strict
-  // total order), so this is purely a speed knob — docs/perf.md "Kernel
-  // pass 2" has the measurements.
+  // MSB-radix partition passes over the prefixes in front of it until
+  // buckets hold at most 16 entries, and kAuto is the hybrid. Both
+  // produce byte-identical output (same strict total order), so this is
+  // purely a speed knob — docs/perf.md "The MSB-radix hybrid" has the
+  // measurements.
   SortKernel sort_kernel = SortKernel::kAuto;
 
   // Force a pass count (0 = choose by memory_budget).

@@ -22,10 +22,11 @@ namespace alphasort {
 // big-endian integer, so byte d of the prefix is byte d of the key, and
 // a counting pass + scatter on it is a perfect 256-way partition.
 //
-// The hybrid does 1-2 (more under skew) such passes until buckets fit
-// the in-cache sort budget, then finishes every bucket with the existing
-// introsort — which also owns all tie-breaking, so the radix layer never
-// looks at a record. Skew safety:
+// The hybrid keeps scattering, one prefix byte per level, until every
+// bucket holds at most kBucketBudget entries, then finishes each bucket
+// with the existing introsort — which also owns all tie-breaking, so the
+// radix layer never looks at a record. A uniform 100k-entry run takes
+// two passes; its buckets average under two entries. Skew safety:
 //   - a bucket larger than the budget recurses on the next prefix byte;
 //   - a pass whose entries all share the current byte advances a byte
 //     without re-scattering (no wasted pass on common-prefix keys);
@@ -54,16 +55,16 @@ struct RadixStats {
 
 namespace radix_internal {
 
-// Bucket budget for the introsort finish: 2048 16-byte entries = 32 KB,
-// a few cache-resident working sets below the simulated 4 MB B-cache and
-// sized so the finishing sorts stay in L1/L2 (paper §4's "sort in
-// cache" discipline).
-inline constexpr size_t kBucketBudget = 2048;
-
-// kAuto switches to the hybrid at this run size — below it one introsort
-// is already cache-resident enough that a scatter pass cannot pay for
-// itself (validated by the kernels bench suite).
-inline constexpr size_t kAutoRadixMin = 1 << 14;
+// Largest bucket the introsort finishes; a bigger one takes another
+// scatter on the next byte. Cache fit does not set it: a 2048-entry
+// bucket is 32 KB and already sorts in L1/L2. Mispredicted compares do:
+// an introsort over random prefixes pays about log2(n) compares per
+// entry, half of them mispredicted branches, while a scatter pass is
+// branch-free and costs a fixed 256-bucket histogram per call. A sweep
+// over run lengths 1 Ki..250 Ki and all nine generator distributions
+// (docs/perf.md "The MSB-radix hybrid") put the break-even between 16
+// and 24 entries; 64 lost up to 2.6x at 8-14 Ki entries.
+inline constexpr size_t kBucketBudget = 16;
 
 template <typename Tracer>
 void RadixRangePrefix(const RecordFormat& fmt, PrefixEntry* a, size_t n,
@@ -160,22 +161,19 @@ void RadixSortPrefixEntries(const RecordFormat& format, PrefixEntry* entries,
                                    radix_stats);
 }
 
-// Kernel dispatch used by run generation (core/pipeline.cc,
-// core/external_sort.cc): kAuto takes the hybrid once a run is large
-// enough to amortize the scatter pass.
+// Kernel dispatch used by run generation (core/pipeline.cc): kAuto
+// takes the hybrid, which sorts a run of at most kBucketBudget entries
+// as one introsort bucket.
 template <typename Tracer = NullTracer>
 void SortPrefixEntriesWithKernel(const RecordFormat& format,
                                  PrefixEntry* entries, size_t n,
                                  SortKernel kernel, SortStats* stats,
                                  Tracer* tracer,
                                  RadixStats* radix_stats = nullptr) {
-  const bool radix =
-      kernel == SortKernel::kRadixHybrid ||
-      (kernel == SortKernel::kAuto && n >= radix_internal::kAutoRadixMin);
-  if (radix) {
-    RadixSortPrefixEntries(format, entries, n, stats, tracer, radix_stats);
-  } else {
+  if (kernel == SortKernel::kQuickSort) {
     QuickSortPrefixEntries(format, entries, n, stats, tracer);
+  } else {
+    RadixSortPrefixEntries(format, entries, n, stats, tracer, radix_stats);
   }
 }
 

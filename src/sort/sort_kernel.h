@@ -9,10 +9,10 @@ namespace alphasort {
 // (docs/perf.md "Kernel speed pass 2"):
 //   kQuickSort   — the paper's key-prefix introsort, always correct.
 //   kRadixHybrid — MSB-radix partition passes over the 64-bit prefixes
-//                  into cache-sized buckets, each finished by the same
-//                  introsort (src/sort/radix_partition.h).
-//   kAuto        — radix for runs large enough to amortize the scatter,
-//                  quicksort below that.
+//                  until buckets hold a few entries, each finished by
+//                  the same introsort (src/sort/radix_partition.h).
+//   kAuto        — the hybrid; a run no larger than one bucket is a
+//                  single introsort call.
 // Both kernels sort by the same strict total order (full key, then
 // record position), so they produce byte-identical output — which one
 // runs is purely a speed decision.

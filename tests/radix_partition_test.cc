@@ -1,5 +1,6 @@
 #include "sort/radix_partition.h"
 
+#include <array>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/datamation.h"
+#include "common/simd.h"
 #include "core/alphasort.h"
 #include "io/env.h"
 #include "record/generator.h"
@@ -30,53 +32,73 @@ std::vector<char> MakeBlock(const RecordFormat& fmt, KeyDistribution dist,
 
 class RadixSweep : public ::testing::TestWithParam<KeyDistribution> {};
 
+// Sizes straddling the bucket budget: a single introsort bucket
+// (budget - 1, budget), one scatter (budget + 1), a second scatter level
+// in every bucket of a uniform run (256 * budget + 1), and the
+// pipeline's run lengths (36,158 under a 32 MiB budget, 100,000 in one
+// pass).
+std::vector<uint64_t> SweepSizes() {
+  const uint64_t b = radix_internal::kBucketBudget;
+  return {b - 1, b, b + 1, 256 * b + 1, 36158, 100000};
+}
+
 TEST_P(RadixSweep, PrefixEntriesMatchIntrosortExactly) {
   const RecordFormat fmt = kDatamationFormat;
   const KeyDistribution dist = GetParam();
-  // Below budget (pure introsort), just above it (one pass), and well
-  // above (real scatter + per-bucket finishes).
-  for (uint64_t n : {uint64_t{100}, uint64_t{3000}, uint64_t{40000}}) {
+  for (uint64_t n : SweepSizes()) {
     std::vector<char> block =
         MakeBlock(fmt, dist, n, 1000 + n + static_cast<uint64_t>(dist));
-    std::vector<PrefixEntry> quick(n), radix(n);
-    BuildPrefixEntryArray(fmt, block.data(), n, quick.data());
-    radix = quick;
+    for (bool simd_on : {true, false}) {
+      simd::ScopedForceScalar force(!simd_on);
+      std::vector<PrefixEntry> quick(n), radix(n);
+      BuildPrefixEntryArray(fmt, block.data(), n, quick.data());
+      radix = quick;
 
-    SortStats qstats, rstats;
-    SortPrefixEntryArray(fmt, quick.data(), n, &qstats);
-    RadixStats shape;
-    RadixSortPrefixEntryArray(fmt, radix.data(), n, &rstats, &shape);
+      SortStats qstats, rstats;
+      SortPrefixEntryArray(fmt, quick.data(), n, &qstats);
+      RadixStats shape;
+      RadixSortPrefixEntryArray(fmt, radix.data(), n, &rstats, &shape);
 
-    ASSERT_EQ(memcmp(quick.data(), radix.data(), n * sizeof(PrefixEntry)), 0)
-        << test::DistributionName(dist) << " n=" << n;
-    if (n > 3000) {
-      // Large inputs must actually exercise the radix layer (or its
-      // duplicate shortcut) rather than falling straight to introsort.
-      EXPECT_GT(shape.partition_passes + shape.tie_shortcuts, 0u)
-          << test::DistributionName(dist);
+      ASSERT_EQ(memcmp(quick.data(), radix.data(), n * sizeof(PrefixEntry)),
+                0)
+          << test::DistributionName(dist) << " n=" << n
+          << " simd=" << simd_on;
+      if (n > radix_internal::kBucketBudget) {
+        // Over-budget inputs must actually exercise the radix layer (or
+        // its duplicate shortcut) rather than falling straight to
+        // introsort.
+        EXPECT_GT(shape.partition_passes + shape.tie_shortcuts, 0u)
+            << test::DistributionName(dist) << " n=" << n;
+      } else {
+        EXPECT_EQ(shape.partition_passes, 0u);
+      }
+      EXPECT_GT(shape.buckets_sorted, 0u);
     }
-    EXPECT_GT(shape.buckets_sorted, 0u);
   }
 }
 
 TEST_P(RadixSweep, CompactEntriesMatchIntrosortExactly) {
   const RecordFormat fmt = kDatamationFormat;
   const KeyDistribution dist = GetParam();
-  for (uint64_t n : {uint64_t{100}, uint64_t{40000}}) {
+  for (uint64_t n : SweepSizes()) {
     std::vector<char> block =
         MakeBlock(fmt, dist, n, 2000 + n + static_cast<uint64_t>(dist));
-    std::vector<CompactEntry> quick(n), radix(n);
-    BuildCompactEntryArray(fmt, block.data(), n, quick.data());
-    radix = quick;
+    for (bool simd_on : {true, false}) {
+      simd::ScopedForceScalar force(!simd_on);
+      std::vector<CompactEntry> quick(n), radix(n);
+      BuildCompactEntryArray(fmt, block.data(), n, quick.data());
+      radix = quick;
 
-    SortCompactEntryArray(fmt, block.data(), quick.data(), n);
-    RadixStats shape;
-    RadixSortCompactEntryArray(fmt, block.data(), radix.data(), n, nullptr,
-                               &shape);
+      SortCompactEntryArray(fmt, block.data(), quick.data(), n);
+      RadixStats shape;
+      RadixSortCompactEntryArray(fmt, block.data(), radix.data(), n, nullptr,
+                                 &shape);
 
-    ASSERT_EQ(memcmp(quick.data(), radix.data(), n * sizeof(CompactEntry)),
-              0)
-        << test::DistributionName(dist) << " n=" << n;
+      ASSERT_EQ(
+          memcmp(quick.data(), radix.data(), n * sizeof(CompactEntry)), 0)
+          << test::DistributionName(dist) << " n=" << n
+          << " simd=" << simd_on;
+    }
   }
 }
 
@@ -114,7 +136,7 @@ TEST(RadixPartitionTest, SkewedBucketsRecurseOnTheNextByte) {
   const RecordFormat fmt = kDatamationFormat;
   const uint64_t n = 12000;
   // Uniform keys, then pin the first byte to one of two values: two
-  // buckets of ~6000 entries, both over the 2048-entry budget, so the
+  // buckets of ~6000 entries, both far over the bucket budget, so the
   // hybrid must recurse on byte 1.
   std::vector<char> block = MakeBlock(fmt, KeyDistribution::kUniform, n, 77);
   for (uint64_t i = 0; i < n; ++i) {
@@ -135,7 +157,11 @@ TEST(RadixPartitionTest, CommonPrefixAdvancesBytesWithoutScatter) {
   const RecordFormat fmt = kDatamationFormat;
   const uint64_t n = 12000;
   // First 3 key bytes constant, rest uniform: the hybrid should skip 3
-  // bytes without paying a scatter, then split cleanly on byte 3.
+  // bytes without paying a scatter, then split on byte 3. Its ~47-entry
+  // buckets take one more scatter each if over budget, and their
+  // ~0.2-entry buckets all fit: passes = the byte-3 pass + one per
+  // over-budget byte-3 bucket. A scatter on a constant byte would add a
+  // pass and a recursed 12,000-entry bucket per byte.
   std::vector<char> block = MakeBlock(fmt, KeyDistribution::kUniform, n, 78);
   for (uint64_t i = 0; i < n; ++i) {
     memset(block.data() + i * fmt.record_size + fmt.key_offset, 'z', 3);
@@ -143,11 +169,21 @@ TEST(RadixPartitionTest, CommonPrefixAdvancesBytesWithoutScatter) {
   std::vector<PrefixEntry> quick(n), radix(n);
   BuildPrefixEntryArray(fmt, block.data(), n, quick.data());
   radix = quick;
+  size_t over_budget = 0;
+  {
+    std::array<size_t, 256> byte3{};
+    for (const PrefixEntry& e : quick) ++byte3[(e.prefix >> 32) & 0xFF];
+    for (size_t count : byte3) {
+      over_budget += count > radix_internal::kBucketBudget;
+    }
+  }
   SortPrefixEntryArray(fmt, quick.data(), n);
   RadixStats shape;
   RadixSortPrefixEntryArray(fmt, radix.data(), n, nullptr, &shape);
   EXPECT_EQ(memcmp(quick.data(), radix.data(), n * sizeof(PrefixEntry)), 0);
-  EXPECT_EQ(shape.partition_passes, 1u);
+  EXPECT_GT(over_budget, 0u);
+  EXPECT_EQ(shape.buckets_recursed, over_budget);
+  EXPECT_EQ(shape.partition_passes, 1 + over_budget);
 }
 
 TEST(RadixPartitionTest, StatsAccountScatterMoves) {
@@ -156,12 +192,24 @@ TEST(RadixPartitionTest, StatsAccountScatterMoves) {
   std::vector<char> block = MakeBlock(fmt, KeyDistribution::kUniform, n, 79);
   std::vector<PrefixEntry> entries(n);
   BuildPrefixEntryArray(fmt, block.data(), n, entries.data());
+  // Uniform keys put ~78 entries in each top-byte bucket, so every
+  // over-budget bucket takes exactly one more scatter, whose ~0.3-entry
+  // buckets all fit: passes = the top pass + one per recursed bucket.
+  size_t over_budget = 0;
+  {
+    std::array<size_t, 256> top{};
+    for (const PrefixEntry& e : entries) ++top[e.prefix >> 56];
+    for (size_t count : top) {
+      over_budget += count > radix_internal::kBucketBudget;
+    }
+  }
   SortStats stats;
   RadixStats shape;
   RadixSortPrefixEntryArray(fmt, entries.data(), n, &stats, &shape);
-  EXPECT_EQ(shape.partition_passes, 1u);  // uniform: one pass suffices
-  // The scatter moved every entry once, on top of the bucket introsorts'
-  // own swaps.
+  EXPECT_EQ(shape.buckets_recursed, over_budget);
+  EXPECT_EQ(shape.partition_passes, 1 + shape.buckets_recursed);
+  // The scatters moved every entry at least once, on top of the bucket
+  // introsorts' own swaps.
   EXPECT_GE(stats.exchanges, n);
   EXPECT_GE(stats.bytes_moved, n * sizeof(PrefixEntry));
   EXPECT_GT(stats.compares, 0u);
@@ -169,7 +217,7 @@ TEST(RadixPartitionTest, StatsAccountScatterMoves) {
 
 TEST(RadixPartitionTest, KernelDispatchRespectsSelection) {
   const RecordFormat fmt = kDatamationFormat;
-  const uint64_t n = 30000;  // above the kAuto radix threshold
+  const uint64_t n = 30000;  // over the bucket budget
   std::vector<char> block = MakeBlock(fmt, KeyDistribution::kUniform, n, 80);
   std::vector<PrefixEntry> entries(n);
 
@@ -228,7 +276,7 @@ struct KernelRun {
     opts.output_path = "out.dat";
     opts.sort_kernel = kernel;
     opts.num_workers = 2;
-    opts.run_size_records = 5000;  // several runs, above + below budget
+    opts.run_size_records = 5000;  // several runs, all over budget
     opts.io_chunk_bytes = 16 * 1024;
     opts.force_passes = passes;
     ALPHASORT_RETURN_IF_ERROR(AlphaSort::Run(env.get(), opts, &metrics));
@@ -238,17 +286,19 @@ struct KernelRun {
 };
 
 TEST(RadixPartitionTest, PipelineOutputCrcMatchesQuicksortKernel) {
-  for (KeyDistribution dist :
-       {KeyDistribution::kUniform, KeyDistribution::kDupHeavy,
-        KeyDistribution::kZipfian, KeyDistribution::kSharedPrefix}) {
+  for (KeyDistribution dist : test::AllDistributions()) {
     for (int passes : {1, 2}) {
-      KernelRun quick, radix;
+      KernelRun quick;
       Status qs = quick.Run(SortKernel::kQuickSort, dist, passes);
       ASSERT_TRUE(qs.ok()) << qs.ToString();
-      Status rs = radix.Run(SortKernel::kRadixHybrid, dist, passes);
-      ASSERT_TRUE(rs.ok()) << rs.ToString();
-      EXPECT_EQ(quick.metrics.output_crc32c, radix.metrics.output_crc32c)
-          << test::DistributionName(dist) << " passes=" << passes;
+      for (SortKernel kernel : {SortKernel::kRadixHybrid, SortKernel::kAuto}) {
+        KernelRun other;
+        Status os = other.Run(kernel, dist, passes);
+        ASSERT_TRUE(os.ok()) << os.ToString();
+        EXPECT_EQ(quick.metrics.output_crc32c, other.metrics.output_crc32c)
+            << test::DistributionName(dist) << " passes=" << passes
+            << " kernel=" << SortKernelName(kernel);
+      }
     }
   }
 }
