@@ -7,7 +7,7 @@
 //           [--workers N] [--merge-parallelism P] [--prefetch-distance D]
 //           [--memory-mb M]
 //           [--algorithm alphasort|vms]
-//           [--sort-kernel auto|quicksort|radix_hybrid]
+//           [--sort-kernel auto|quicksort]
 //           [--merge] [--verify] [--quiet]
 //           [--trace=FILE] [--report=FILE] [--metrics] [--mem]
 //           [--gen-records N]
@@ -15,7 +15,10 @@
 // INPUT/OUTPUT may be plain files or .str stripe definitions (the output
 // definition is created automatically, mirroring the first input's width,
 // if it does not exist). With --merge, every INPUT must already be
-// sorted and the inputs are merged into OUTPUT (sort's classic -m mode).
+// sorted and the inputs are merged into OUTPUT (sort's classic -m mode)
+// by the sort's own partitioned merge, so --workers and
+// --merge-parallelism apply to it too. --sort-kernel radix_hybrid is an
+// alias for auto.
 //
 // Observability (docs/observability.md): --trace=FILE records a span
 // timeline of the sort and writes Chrome trace-event JSON openable in
@@ -42,7 +45,6 @@
 #include "core/vms_sort.h"
 #include "common/table.h"
 #include "io/stripe.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -61,7 +63,7 @@ struct Args {
   long prefetch_distance = -1;  // -1 = library default, 0 = disable
   uint64_t memory_mb = 256;
   std::string algorithm = "alphasort";
-  std::string sort_kernel = "auto";  // in-cache run sort: auto|quicksort|radix_hybrid
+  std::string sort_kernel = "auto";  // in-cache run sort: auto|quicksort
   bool merge = false;
   bool verify = false;
   bool quiet = false;
@@ -78,7 +80,7 @@ int Usage(const char* prog) {
           "[--record-size R] [--key-size K] [--key-offset OFF] "
           "[--workers N] [--merge-parallelism P] [--prefetch-distance D] "
           "[--memory-mb M] [--algorithm alphasort|vms] "
-          "[--sort-kernel auto|quicksort|radix_hybrid] "
+          "[--sort-kernel auto|quicksort] "
           "[--merge] [--verify] [--quiet] [--trace=FILE] [--report=FILE] "
           "[--metrics] [--mem] [--gen-records N]\n",
           prog);
@@ -203,14 +205,6 @@ int main(int argc, char** argv) {
 
   SortMetrics metrics;
   Status s;
-  // A Sorter job (the vms path runs one too) brackets the registry
-  // itself; the merge path needs the same per-run delta taken here so
-  // --metrics and --report describe this run, not the whole process
-  // history.
-  obs::RegistrySnapshot registry_before;
-  if (args.merge) {
-    registry_before = obs::MetricsRegistry::Global()->Snapshot();
-  }
   if (args.merge) {
     s = MergeSortedFiles(env, args.in, args.out, opts, &metrics);
   } else if (args.algorithm == "vms") {
@@ -224,11 +218,6 @@ int main(int argc, char** argv) {
     const SortResult& result = sorter.Start(opts).Wait();
     s = result.status;
     metrics = result.metrics;
-  }
-  if (args.merge) {
-    metrics.registry_delta =
-        obs::MetricsRegistry::Global()->Snapshot().DeltaSince(
-            registry_before);
   }
   if (recorder != nullptr) {
     obs::TraceRecorder::Uninstall();

@@ -338,7 +338,7 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
     BuildPrefixEntryArray(fmt, blk.data(), sim_n, sim_entries.data());
     CacheSim sim;
     SortStats stats;
-    if (kernel == SortKernel::kRadixHybrid) {
+    if (kernel == SortKernel::kAuto) {
       RadixSortPrefixEntries(fmt, sim_entries.data(), sim_n, &stats, &sim);
     } else {
       QuickSortPrefixEntries(fmt, sim_entries.data(), sim_n, &stats, &sim);
@@ -397,7 +397,7 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
         {"runs", double(radix_runs)},
         {"radix_passes", double(shape.partition_passes)},
         {"tie_shortcuts", double(shape.tie_shortcuts)}};
-    for (auto& kv : simulate_kernel(blk, SortKernel::kRadixHybrid)) {
+    for (auto& kv : simulate_kernel(blk, SortKernel::kAuto)) {
       values.push_back(std::move(kv));
     }
     const std::string config =
@@ -426,22 +426,19 @@ void RunKernels(const BenchConfig& cfg, obs::BenchReport* report) {
         EntryRun{entries.data() + start, entries.data() + start + len});
   }
 
-  // Tournament merge alone (pointer stream, no gather), leaf-replacement
-  // prefetch on and off.
+  // Tournament merge alone (pointer stream, no gather). The row keeps its
+  // `prefetch=0` config name: the merge issues no prefetch hints.
   const size_t batch = std::max<size_t>(1, (1 << 20) / fmt.record_size);
   std::vector<const char*> ptrs(n);
-  for (const bool prefetch : {true, false}) {
+  {
     size_t produced = 0;
     const double s = TimedSeconds([&] {
-      RunMerger<> merger(fmt, runs, TreeLayout::kFlat, nullptr, nullptr,
-                         prefetch);
+      RunMerger<> merger(fmt, runs);
       while (!merger.Done()) {
         produced += merger.NextBatch(ptrs.data() + produced, batch);
       }
     });
-    push(StrFormat("kernel=merge n=%zu runs=%zu prefetch=%zu", n,
-                   runs.size(),
-                   prefetch ? kDefaultPrefetchDistance : size_t{0}),
+    push(StrFormat("kernel=merge n=%zu runs=%zu prefetch=0", n, runs.size()),
          {{"seconds", s}, {"records_per_s", produced / s}});
   }
 

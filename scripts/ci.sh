@@ -93,10 +93,10 @@ stage_tier1() {
   # touches the shim.
   cmake -B build-scalar -S . -DALPHASORT_FORCE_SCALAR=ON >/dev/null
   cmake --build build-scalar -j "$(nproc)" --target \
-    simd_test radix_partition_test quicksort_test partition_sort_test \
-    merge_partition_test alphasort_test pipeline_matrix_test
+    simd_test radix_partition_test quicksort_test merge_partition_test \
+    alphasort_test pipeline_matrix_test
   run_ctest build-scalar -R \
-    '^(simd_test|radix_partition_test|quicksort_test|partition_sort_test|merge_partition_test|alphasort_test|pipeline_matrix_test)$'
+    '^(simd_test|radix_partition_test|quicksort_test|merge_partition_test|alphasort_test|pipeline_matrix_test)$'
 }
 
 # --- stage: sanitizers ----------------------------------------------
@@ -116,19 +116,21 @@ stage_sanitizers() {
   # scheduler, the chore pool + full pipeline, retries racing IO
   # threads, the partitioned merge's concurrent range merges (whose
   # two-pass ranges share run files and the AIO pool: the pipeline
-  # matrix's spill cells), the fault campaign's storm of concurrent
-  # sorts, and the networked service's connection threads against the
-  # shared SortService.
+  # matrix's spill cells, and merge_files_test's merges of sorted files
+  # on workers), the fault campaign's storm of concurrent sorts, and the
+  # networked service's connection threads against the shared
+  # SortService.
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target \
     async_io_test chores_test alphasort_test merge_partition_test \
-    pipeline_matrix_test retry_env_test fault_campaign_test obs_test \
-    throttled_env_test sort_service_test net_service_test
+    merge_files_test pipeline_matrix_test retry_env_test \
+    fault_campaign_test obs_test throttled_env_test sort_service_test \
+    net_service_test
   run_ctest build-tsan -R \
-    '^(async_io_test|chores_test|alphasort_test|merge_partition_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
+    '^(async_io_test|chores_test|alphasort_test|merge_partition_test|merge_files_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
 }
 
 # --- stage: smokes ---------------------------------------------------
@@ -137,8 +139,8 @@ stage_smokes() {
   echo "=== smokes: build ==="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$(nproc)" --target \
-    fault_campaign asort trace_lint trace_merge report_lint expo_lint \
-    log_lint sort_service sort_top sort_serverd sort_loadgen
+    fault_campaign asort gen_records trace_lint trace_merge report_lint \
+    expo_lint log_lint sort_service sort_top sort_serverd sort_loadgen
 
   echo
   echo "=== fault-campaign smoke: 32 seeded storms must never lie ==="
@@ -217,6 +219,38 @@ assert report["passes"] == 2, report["passes"]
 assert report["merge_ranges"] > 1, report["merge_ranges"]
 print(f"report: two-pass merge_ranges = {report['merge_ranges']}")
 PY
+  # asort --merge runs on the same partitioned scratch-run merge, over
+  # sorted host files: with workers it must split into key ranges, write
+  # exactly what one sort of the concatenated inputs writes, report that
+  # output's CRC, and walk the phase clock (report_lint checks that the
+  # phases add up to the total).
+  merge_dir=$(mktemp -d)
+  ./build/examples/gen_records --out "$merge_dir/a.raw" --records 60000 \
+    --seed 1 --dist fewdistinct
+  ./build/examples/gen_records --out "$merge_dir/b.raw" --records 40000 \
+    --seed 2
+  ./build/examples/asort --quiet --in "$merge_dir/a.raw" \
+    --out "$merge_dir/a.dat"
+  ./build/examples/asort --quiet --in "$merge_dir/b.raw" \
+    --out "$merge_dir/b.dat"
+  cat "$merge_dir/a.raw" "$merge_dir/b.raw" > "$merge_dir/ab.raw"
+  ./build/examples/asort --quiet --in "$merge_dir/ab.raw" \
+    --out "$merge_dir/ab.dat" --report="$merge_dir/report_cat.json"
+  ./build/examples/asort --quiet --merge --workers 3 \
+    --in "$merge_dir/a.dat" --in "$merge_dir/b.dat" \
+    --out "$merge_dir/merged.dat" --report=ci-artifacts/report_merge.json
+  cmp "$merge_dir/merged.dat" "$merge_dir/ab.dat"
+  ./build/examples/report_lint ci-artifacts/report_merge.json
+  python3 - ci-artifacts/report_merge.json "$merge_dir/report_cat.json" <<'PY'
+import json, sys
+merge = json.load(open(sys.argv[1]))
+whole = json.load(open(sys.argv[2]))
+assert merge["merge_ranges"] > 1, merge["merge_ranges"]
+crc = merge["integrity"]["output_crc32c"]
+assert crc == whole["integrity"]["output_crc32c"], (crc, whole["integrity"])
+print(f"report: merge merge_ranges = {merge['merge_ranges']}, crc {crc}")
+PY
+  rm -rf "$merge_dir"
 
   echo
   echo "=== service smoke: 4 concurrent jobs + a cancel under one budget ==="

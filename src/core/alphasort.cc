@@ -173,12 +173,11 @@ void SortContext::EnterPhase(obs::SortPhase next) {
   }
 }
 
-Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
-                       ChorePool* pool, const SortControl* control,
-                       SortMetrics* metrics, uint64_t job_id,
-                       obs::JobProgressTracker* progress,
-                       const PipelineBody& body) {
-  ALPHASORT_RETURN_IF_ERROR(options.Validate());
+Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
+                    ChorePool* pool, const SortControl* control,
+                    SortMetrics* metrics, uint64_t job_id,
+                    obs::JobProgressTracker* progress,
+                    const PipelineBody& run) {
   SortMetrics local_metrics;
   if (metrics == nullptr) metrics = &local_metrics;
   *metrics = SortMetrics();
@@ -215,7 +214,7 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
     // Started and read right beside the phase clock's first and last
     // laps, so total_s and PhaseSum() cover the same interval.
     PhaseTimer total_timer;
-    status = OpenRunClose(&ctx, body);
+    status = run(&ctx);
     ctx.EnterPhase(obs::SortPhase::kDone);
     metrics->total_s = total_timer.Lap();
   }
@@ -239,6 +238,17 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
   metrics->registry_delta =
       obs::MetricsRegistry::Global()->Snapshot().DeltaSince(registry_before);
   return status;
+}
+
+Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
+                       ChorePool* pool, const SortControl* control,
+                       SortMetrics* metrics, uint64_t job_id,
+                       obs::JobProgressTracker* progress,
+                       const PipelineBody& body) {
+  ALPHASORT_RETURN_IF_ERROR(options.Validate());
+  return RunInHarness(
+      env, options, aio, pool, control, metrics, job_id, progress,
+      [&body](SortContext* ctx) { return OpenRunClose(ctx, body); });
 }
 
 }  // namespace core_internal

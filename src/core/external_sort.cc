@@ -2,6 +2,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/checksum.h"
@@ -67,19 +69,28 @@ void ScratchSweeper::Sweep() {
 
 namespace {
 
+// The first and last key one range of a merge emitted, kept when the
+// merge checks key order.
+struct RangeEnds {
+  std::string first;
+  std::string last;
+};
+
 // One key range of a scratch-run merge: a loser tree over the range's
 // slice of every run (empty slices kept, so stream numbers — and the
 // equal-key tie-break — match one global tournament), records copied
 // straight into the batch. Once the range drains, each slice's CRC-32C
-// lands in `slice_crc`.
+// lands in `slice_crc`. With `ends` set, it also checks that the keys it
+// emits never decrease and records the range's first and last key there.
 class ScratchRangeProducer : public RangeProducer {
  public:
   ScratchRangeProducer(SortContext* ctx, size_t k, SortStats* stats,
-                       std::vector<uint32_t>* slice_crc)
+                       std::vector<uint32_t>* slice_crc, RangeEnds* ends)
       : ctx_(ctx),
         fmt_(ctx->options->format),
-        tree_(k == 0 ? 1 : k, CountingEntryLess{fmt_, stats}),
-        slice_crc_(slice_crc) {}
+        tree_(k == 0 ? 1 : k, CountingEntryLess<>{fmt_, stats}),
+        slice_crc_(slice_crc),
+        ends_(ends) {}
 
   // Adds the next run's slice, the bytes [begin, end) of `file`, read
   // through two buffers of `buffer_records` records.
@@ -111,6 +122,7 @@ class ScratchRangeProducer : public RangeProducer {
         tree_.ExhaustWinner();
       }
     }
+    if (ends_ != nullptr) ALPHASORT_RETURN_IF_ERROR(CheckOrder(out, n));
     if (tree_.Empty()) {
       for (size_t s = 0; s < readers_.size(); ++s) {
         (*slice_crc_)[s] = readers_[s]->crc32c();
@@ -120,21 +132,40 @@ class ScratchRangeProducer : public RangeProducer {
   }
 
  private:
+  // A tournament over sorted slices emits nondecreasing keys, and an
+  // order violation inside a slice shows as a decrease at the very next
+  // emission, so checking the `n` records just written to `out` against
+  // each other and the previous batch's last key finds every one.
+  Status CheckOrder(const char* out, size_t n) {
+    const size_t rec_size = fmt_.record_size;
+    const size_t key_size = fmt_.key_size;
+    const char* prev = ends_->last.empty() ? nullptr : ends_->last.data();
+    for (size_t i = 0; i < n; ++i) {
+      const char* key = fmt_.KeyPtr(out + i * rec_size);
+      if (prev != nullptr && memcmp(prev, key, key_size) > 0) {
+        return Status::Corruption(
+            "input is not sorted (a key decreases inside one key range)");
+      }
+      prev = key;
+    }
+    if (ends_->first.empty()) ends_->first.assign(fmt_.KeyPtr(out), key_size);
+    ends_->last.assign(prev, key_size);
+    return Status::OK();
+  }
+
   SortContext* ctx_;
   const RecordFormat fmt_;
   std::vector<std::unique_ptr<RunReader>> readers_;
-  LoserTree<PrefixEntry, CountingEntryLess> tree_;
+  LoserTree<PrefixEntry, CountingEntryLess<>> tree_;
   std::vector<uint32_t>* slice_crc_;
+  RangeEnds* ends_;
 };
 
-// Merges `runs` into `out` through PartitionedMerge: the runs' samples
-// pick up to MergeRanges(ctx) key ranges, and each range reads its own
-// slice of every run. With verify_run_checksums, each run's slice CRCs,
-// folded in range order, must equal the CRC recorded when it was written.
-// Reports the output CRC and, if asked, the range count.
+}  // namespace
+
 Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
                      const MergeOutput& out, uint32_t* crc,
-                     size_t* num_ranges = nullptr) {
+                     size_t* num_ranges) {
   const SortOptions& opts = *ctx->options;
   const RecordFormat& fmt = opts.format;
   const size_t rec = fmt.record_size;
@@ -162,7 +193,7 @@ Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
               ctx->aio->SubmitRead(files[s].get(), first * rec, n * rec, dst),
               &got));
           if (got != n * rec) {
-            return Status::Corruption("short read from scratch run");
+            return Status::Corruption("short read from run file");
           }
           return Status::OK();
         },
@@ -180,6 +211,12 @@ Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
   const size_t buffer_records = static_cast<size_t>(std::max<uint64_t>(
       1, std::min<uint64_t>(opts.io_chunk_bytes, per_slice_budget) / rec));
 
+  // Runs the sort wrote itself carry their CRC; runs without one are
+  // outside input, whose order is checked as it merges.
+  const bool check_order =
+      std::any_of(runs.begin(), runs.end(),
+                  [](const ScratchRun& run) { return !run.crc32c; });
+  std::vector<RangeEnds> ends(check_order ? ranges : 0);
   std::vector<std::vector<uint32_t>> slice_crc(ranges,
                                                std::vector<uint32_t>(k, 0));
   ALPHASORT_RETURN_IF_ERROR(PartitionedMerge(
@@ -187,7 +224,7 @@ Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
       [&](size_t r, SortStats* stats)
           -> Result<std::unique_ptr<RangeProducer>> {
         auto producer = std::make_unique<ScratchRangeProducer>(
-            ctx, k, stats, &slice_crc[r]);
+            ctx, k, stats, &slice_crc[r], check_order ? &ends[r] : nullptr);
         for (size_t s = 0; s < k; ++s) {
           ALPHASORT_RETURN_IF_ERROR(producer->AddSlice(
               files[s].get(), slices.bounds[r][s] * rec,
@@ -199,29 +236,44 @@ Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
       out, crc));
   if (num_ranges != nullptr) *num_ranges = ranges;
 
+  // Each range's keys rose; the ranges must rise too, from the last key
+  // of each non-empty range to the first key of the next. Slice bounds
+  // are exact upper bounds, which never fall on a decrease, so an
+  // unsorted input shows inside a range first; this check keeps the
+  // guarantee from depending on how the slices were cut.
+  const std::string* prev_last = nullptr;
+  for (const RangeEnds& range : ends) {
+    if (range.first.empty()) continue;
+    if (prev_last != nullptr &&
+        memcmp(prev_last->data(), range.first.data(), fmt.key_size) > 0) {
+      return Status::Corruption(
+          "input is not sorted (a key decreases across key ranges)");
+    }
+    prev_last = &range.last;
+  }
+
   // Every slice has been read whole; compare the CRC of what the merge
   // actually consumed against what the spill pass wrote. A mismatch means
   // the scratch bytes changed between write and read — surface it as
   // corruption, never as silently wrong output.
   if (opts.verify_run_checksums) {
     for (size_t s = 0; s < k; ++s) {
+      if (!runs[s].crc32c) continue;
       uint32_t read_crc = 0;
       for (size_t r = 0; r < ranges; ++r) {
         read_crc = Crc32cCombine(read_crc, slice_crc[r][s],
                                  slices.SliceRecords(r, s) * rec);
       }
-      if (read_crc != runs[s].crc32c) {
+      if (read_crc != *runs[s].crc32c) {
         return Status::Corruption(StrFormat(
             "scratch run %s corrupted: crc32c %08x on read, %08x on write",
-            runs[s].path.c_str(), read_crc, runs[s].crc32c));
+            runs[s].path.c_str(), read_crc, *runs[s].crc32c));
       }
       ++ctx->metrics->runs_checksum_verified;
     }
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Status WriteScratchRun(SortContext* ctx, int level, uint64_t records,
                        const ScratchMerge& merge,
@@ -231,13 +283,15 @@ Status WriteScratchRun(SortContext* ctx, int level, uint64_t records,
   Result<std::unique_ptr<File>> file =
       OpenScratchRun(ctx, path, OpenMode::kCreateReadWrite);
   ALPHASORT_RETURN_IF_ERROR(file.status());
-  ScratchRun run{path, records * opts.format.record_size, 0, {}};
+  ScratchRun run{path, records * opts.format.record_size, std::nullopt, {}};
   run.sample_keys.resize(
       (records + kSampleStride - 1) / kSampleStride * opts.format.key_size);
+  uint32_t crc = 0;
   Status s = merge(MergeOutput{file.value().get(),
                                level == 0 ? ProgressSpilled : ProgressMerged,
                                &run.sample_keys},
-                   &run.crc32c);
+                   &crc);
+  run.crc32c = crc;
   Status close_status = file.value()->Close();
   ALPHASORT_RETURN_IF_ERROR(s);
   ALPHASORT_RETURN_IF_ERROR(close_status);

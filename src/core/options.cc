@@ -76,7 +76,7 @@ Status SortOptions::Validate() const {
   }
   if (!SortKernelIsValid(sort_kernel)) {
     return Status::InvalidArgument(
-        "sort_kernel must be auto, quicksort or radix_hybrid");
+        "sort_kernel must be auto or quicksort");
   }
   return Status::OK();
 }

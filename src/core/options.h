@@ -129,19 +129,10 @@ struct SortOptions {
   // docs/perf.md for the measured effect.
   size_t prefetch_distance = kDefaultPrefetchDistance;
 
-  // Prefetch hints inside the *sequential* tournament's leaf replacement.
-  // Off by default: the single global tournament walks its runs in near
-  // order, the hardware prefetcher already has the lines, and the hint
-  // traffic costs ~20% on the kernels merge bench (BENCH_kernels.json:
-  // merge prefetch=8 0.0517s vs prefetch=0 0.0419s). The random-access
-  // kernels (entry build, gather) keep their hints via prefetch_distance,
-  // which this flag does not affect.
-  bool merge_prefetch = false;
-
   // In-cache sort kernel for run generation (sort/sort_kernel.h):
-  // kQuickSort is the paper's key-prefix introsort, kRadixHybrid puts
-  // MSB-radix partition passes over the prefixes in front of it until
-  // buckets hold at most 16 entries, and kAuto is the hybrid. Both
+  // kQuickSort is the paper's key-prefix introsort; kAuto, the default,
+  // is the MSB-radix hybrid, which puts partition passes over the
+  // prefixes in front of it until buckets hold at most 16 entries. Both
   // produce byte-identical output (same strict total order), so this is
   // purely a speed knob — docs/perf.md "The MSB-radix hybrid" has the
   // measurements.
@@ -180,7 +171,7 @@ struct SortOptions {
   //   - num_workers >= 0, force_passes in {0,1,2}, time_limit_s >= 0,
   //     retry_policy.max_attempts >= 1
   //   - merge_parallelism is -1 (auto) or >= 1
-  //   - sort_kernel is one of auto / quicksort / radix_hybrid
+  //   - sort_kernel is auto or quicksort
   // Returns InvalidArgument naming the violated invariant.
   Status Validate() const;
 

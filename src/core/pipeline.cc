@@ -340,7 +340,7 @@ class EntryRangeProducer : public RangeProducer {
                      SortStats* stats)
       : ctx_(ctx),
         merger_(ctx->options->format, std::move(runs), TreeLayout::kFlat,
-                nullptr, stats, ctx->options->merge_prefetch),
+                nullptr, stats),
         ptrs_(MergeBatchBytes(*ctx->options) /
               ctx->options->format.record_size) {}
 

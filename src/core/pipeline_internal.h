@@ -117,6 +117,19 @@ inline void ProgressMerged(SortContext* ctx, uint64_t bytes) {
 // the one RunSortPipeline path.
 using PipelineBody = std::function<Status(SortContext*)>;
 
+// The harness every execution runs in, sorts and merges of sorted files
+// alike: resets `*metrics` (may be null), wraps `env` as `options`
+// prescribe (metrics, retry), builds the SortContext over the shared
+// `aio` and `pool`, and runs `run`, which opens and closes its own ends
+// and walks the phase clock from kStartup. Every exit fills total_s, the
+// retry and IO-latency summaries, the hardware counters and the
+// registry delta. `options` is used as given, not validated.
+Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
+                    ChorePool* pool, const SortControl* control,
+                    SortMetrics* metrics, uint64_t job_id,
+                    obs::JobProgressTracker* progress,
+                    const PipelineBody& run);
+
 // The whole sort pipeline with caller-provided shared resources: plan
 // passes, run them, fill metrics. `aio` and `pool` may be shared across
 // concurrent sorts (a SortService owns one of each); `control` is the
@@ -223,17 +236,19 @@ Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
                    const std::function<void(uint64_t)>& on_pull,
                    uint64_t* records, bool* eof);
 
-// A sorted run spilled to a scratch file. The CRC-32C of the run's byte
-// stream is computed as it is written, and the merge pass verifies it as
-// it streams the run back (SortOptions::verify_run_checksums), so an
-// undetected scratch-disk corruption surfaces as Status::Corruption
-// instead of silently wrong output. `sample_keys` holds the key of every
-// kSampleStride-th record (sort/merge_partition.h), from which the merge
-// partitions the run into key ranges.
+// A sorted run in a file: a scratch run the sort spilled, or a sorted
+// input of MergeSortedFiles. A spilled run's CRC-32C is computed as it is
+// written, and the merge pass verifies it as it streams the run back
+// (SortOptions::verify_run_checksums), so an undetected scratch-disk
+// corruption surfaces as Status::Corruption instead of silently wrong
+// output. An input file has no recorded CRC; the merge checks its key
+// order instead. `sample_keys` holds the key of every kSampleStride-th
+// record (sort/merge_partition.h), from which the merge partitions the
+// run into key ranges.
 struct ScratchRun {
   std::string path;
   uint64_t bytes = 0;
-  uint32_t crc32c = 0;
+  std::optional<uint32_t> crc32c;
   std::string sample_keys;
 };
 
@@ -281,6 +296,18 @@ using ScratchMerge =
 Status WriteScratchRun(SortContext* ctx, int level, uint64_t records,
                        const ScratchMerge& merge,
                        std::vector<ScratchRun>* runs);
+
+// Merges the sorted run files `runs` into `out` through PartitionedMerge
+// (the scratch-run merge): the runs' samples pick up to MergeRanges(ctx)
+// key ranges, and each range reads its own slice of every run. A run with
+// a recorded CRC is verified against it (verify_run_checksums). If any
+// run has none, the merged key stream is checked instead, within each
+// range and across range boundaries: a decrease is Status::Corruption
+// ("input is not sorted"). Reports the output CRC and, if asked, the
+// range count.
+Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
+                     const MergeOutput& out, uint32_t* crc,
+                     size_t* num_ranges = nullptr);
 
 // Merges `runs` into ctx->output, cascading through intermediate levels
 // while more than options->max_merge_fanin runs remain. Consumed scratch

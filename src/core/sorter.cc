@@ -23,7 +23,7 @@ void JobCore::Finish(Status status) {
   for (auto& fn : callbacks) fn();
 }
 
-void ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
+Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
   {
     std::lock_guard<std::mutex> lock(job->mu);
     job->state = SortJobState::kRunning;
@@ -70,7 +70,7 @@ void ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
       static_cast<unsigned long long>(job->options.memory_budget),
       job->down_negotiated ? " down_negotiated" : "");
   job->result.report.metrics = job->result.metrics;
-  job->Finish(std::move(s));
+  return s;
 }
 
 }  // namespace core_internal
@@ -165,7 +165,7 @@ SortJob Sorter::Start(const SortOptions& options,
   Running running;
   running.core = core;
   running.thread = std::thread([this, core] {
-    core_internal::ExecuteJob(env_, core.get(), &aio_, &pool_);
+    core->Finish(core_internal::ExecuteJob(env_, core.get(), &aio_, &pool_));
   });
   jobs_.push_back(std::move(running));
   return SortJob(core);

@@ -107,9 +107,12 @@ struct JobCore {
 };
 
 // Runs `job` on the calling thread over the shared resources, filling
-// job->result (metrics + report) and signalling waiters. Used by
-// Sorter's per-job threads and SortService's runner threads.
-void ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool);
+// job->result (metrics + report), and returns its outcome without
+// publishing it. The executor settles its own bookkeeping first (a
+// service returns the job's ticket), then calls job->Finish(outcome), so
+// a waiter never wakes to stale executor state. Used by Sorter's per-job
+// threads and SortService's runner threads.
+Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool);
 
 }  // namespace core_internal
 

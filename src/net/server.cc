@@ -588,18 +588,22 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
   // the client disappears while the result streams back.
   st->charge_consumed = true;
 
-  // Every failed exit from here settles the job as failed, once. A send
-  // that fails means the client hung up mid-stream (EPIPE/ECONNRESET):
-  // like eof_midjob, a vanished peer rather than a protocol error, so
-  // the connection just closes (Run treats NotFound as a hang-up).
-  auto fail = [&](Status why, bool peer_gone) {
-    server_->NoteJobResult(false);
-    if (!peer_gone) return why;
+  // A send that fails means the client hung up mid-stream
+  // (EPIPE/ECONNRESET): like eof_midjob, a vanished peer rather than a
+  // protocol error, so the connection just closes (Run treats NotFound
+  // as a hang-up).
+  auto hung_up = [&](const Status& why) {
     ALPHASORT_LOG(kWarn, "svc.conn.eof_streamback")
         .U64("conn", id_)
         .U64("job", job.id())
         .Str("status", why.ToString());
     return Status::NotFound("client hung up during stream-back");
+  };
+  // Every failed exit before the output is fully sent settles the job as
+  // failed, once.
+  auto fail = [&](Status why, bool peer_gone) {
+    server_->NoteJobResult(false);
+    return peer_gone ? hung_up(why) : why;
   };
 
   const uint64_t stream_begin_us = NowUs();
@@ -645,13 +649,17 @@ Status NetServer::Connection::RunAndStreamBack(FrameReader* reader,
   timeline.DeriveQueue(wait_us);
   timeline.stream_us = NowUs() - stream_begin_us;
   timeline.e2e_us = NowUs() - st->start_us;
+  // Count the job before the RESULT ships it, so a client that reads the
+  // server's stats once its result arrives sees the job counted. The
+  // output and its DONE are already sent: a RESULT the peer no longer
+  // takes does not unmake the job.
+  server_->NoteJobResult(true);
   if (Status ws = SendResult(job.id(), Status::OK(), total,
                              timeline.e2e_us, &timeline);
       !ws.ok()) {
-    return fail(ws, true);
+    return hung_up(ws);
   }
 
-  server_->NoteJobResult(true);
   obs::RecordTimelineHistograms(timeline);
   obs::MaybeLogSlowJob(timeline,
                        server_->options_.slow_job_threshold_us);

@@ -63,7 +63,7 @@ struct MergePartition {
 };
 
 // Pure key order over entries: prefix first, full record keys on prefix
-// ties (the same order RunMerger's EntryLess resolves, minus stats and
+// ties (the same order CountingEntryLess resolves, minus stats and
 // minus the merger's stream tie-break — partitioning must not depend on
 // which run an entry came from).
 struct EntryKeyLess {

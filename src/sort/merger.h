@@ -2,6 +2,7 @@
 #define ALPHASORT_SORT_MERGER_H_
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/prefetch.h"
@@ -24,17 +25,27 @@ struct EntryRun {
 };
 
 // Key order over prefix entries that counts into `stats`: prefix first,
-// full record keys on prefix ties. The order of the file merges'
-// tournaments over RunReaders (scratch runs, sorted input files).
+// full record keys on prefix ties (the paper's "examine the full keys in
+// the records"). The order of every merge tournament: RunMerger's over
+// entry runs and the scratch merge's over RunReaders. A tie-break's two
+// key reads are reported to `tracer`; with NullTracer they compile away
+// and `tracer` may be null.
+template <typename Tracer = NullTracer>
 struct CountingEntryLess {
   RecordFormat format;
   SortStats* stats;
+  Tracer* tracer = nullptr;
 
   bool operator()(const PrefixEntry& a, const PrefixEntry& b) const {
     ++stats->compares;
     if (a.prefix != b.prefix) return a.prefix < b.prefix;
     if (format.key_size <= 8) return false;
     ++stats->tie_breaks;
+    if constexpr (!std::is_same_v<Tracer, NullTracer>) {
+      Mem<Tracer> mem(tracer);
+      mem.TouchRead(format.KeyPtr(a.record), format.key_size);
+      mem.TouchRead(format.KeyPtr(b.record), format.key_size);
+    }
     return format.CompareKeys(a.record, b.record) < 0;
   }
 };
@@ -47,25 +58,17 @@ template <typename Tracer = NullTracer>
 class RunMerger {
  public:
   // `tracer` may be null only when Tracer is default-constructible (a
-  // default-constructed instance is used then). `prefetch` enables the
-  // leaf-replacement record prefetch (common/prefetch.h): the replay
-  // after a replacement tie-breaks through the incoming candidate's
-  // record, a dependent random access the paper flags as the merge's
-  // memory wall; prefetching the record before the replay overlaps the
-  // miss with the path compares. Default off — on the sequential
-  // tournament the hint traffic measures ~20% slower than no hints
-  // (BENCH_kernels.json; SortOptions::merge_prefetch opts back in).
+  // default-constructed instance is used then).
   RunMerger(const RecordFormat& format, std::vector<EntryRun> runs,
             TreeLayout layout = TreeLayout::kFlat, Tracer* tracer = nullptr,
-            SortStats* stats = nullptr, bool prefetch = false)
-      : format_(format),
-        runs_(std::move(runs)),
+            SortStats* stats = nullptr)
+      : runs_(std::move(runs)),
         cursors_(runs_.size()),
-        prefetch_(prefetch),
         stats_(stats != nullptr ? stats : &local_stats_),
         tree_(runs_.empty() ? 1 : runs_.size(),
-              EntryLess{format, tracer != nullptr ? tracer : &default_tracer_,
-                        stats_},
+              CountingEntryLess<Tracer>{
+                  format, stats_,
+                  tracer != nullptr ? tracer : &default_tracer_},
               layout, tracer != nullptr ? tracer : &default_tracer_) {
     for (size_t s = 0; s < runs_.size(); ++s) {
       cursors_[s] = runs_[s].begin;
@@ -83,18 +86,7 @@ class RunMerger {
     const PrefixEntry win = tree_.WinnerItem();
     const size_t s = tree_.WinnerStream();
     if (cursors_[s] != runs_[s].end) {
-      const PrefixEntry next = *cursors_[s]++;
-      if (prefetch_) {
-        // The incoming candidate's record: touched by any tie-break on
-        // the replay path and again by the gather a batch later.
-        ALPHASORT_PREFETCH_READ(format_.KeyPtr(next.record));
-        // The candidate after it: its entry is needed by the next
-        // replacement from this stream.
-        if (cursors_[s] != runs_[s].end) {
-          ALPHASORT_PREFETCH_READ(cursors_[s]);
-        }
-      }
-      tree_.ReplaceWinner(next);
+      tree_.ReplaceWinner(*cursors_[s]++);
     } else {
       tree_.ExhaustWinner();
     }
@@ -111,31 +103,12 @@ class RunMerger {
   uint64_t tree_compares() const { return tree_.compares(); }
 
  private:
-  struct EntryLess {
-    RecordFormat format;
-    Tracer* tracer;
-    SortStats* stats;
-
-    bool operator()(const PrefixEntry& a, const PrefixEntry& b) const {
-      ++stats->compares;
-      if (a.prefix != b.prefix) return a.prefix < b.prefix;
-      if (format.key_size <= 8) return false;
-      ++stats->tie_breaks;
-      Mem<Tracer> mem(tracer);
-      mem.TouchRead(format.KeyPtr(a.record), format.key_size);
-      mem.TouchRead(format.KeyPtr(b.record), format.key_size);
-      return format.CompareKeys(a.record, b.record) < 0;
-    }
-  };
-
   Tracer default_tracer_{};
-  RecordFormat format_;
   std::vector<EntryRun> runs_;
   std::vector<const PrefixEntry*> cursors_;
-  bool prefetch_;
   SortStats local_stats_;
   SortStats* stats_;
-  LoserTree<PrefixEntry, EntryLess, Tracer> tree_;
+  LoserTree<PrefixEntry, CountingEntryLess<Tracer>, Tracer> tree_;
 };
 
 // Gathers records into an output buffer following the merged pointer

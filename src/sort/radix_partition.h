@@ -140,7 +140,7 @@ void RadixRangePrefix(const RecordFormat& fmt, PrefixEntry* a, size_t n,
 }  // namespace radix_internal
 
 // Sorts a prefix-entry array with the MSB-radix hybrid. Allocates an
-// n-entry scratch array internally (same cost as PartitionSort). Stats
+// n-entry scratch array internally (one more entry array). Stats
 // account scatter moves as exchanges/bytes_moved and the bucket
 // introsorts as usual; per-kernel shape lands in *radix_stats.
 template <typename Tracer = NullTracer>

@@ -251,9 +251,12 @@ void SortService::RunnerLoop() {
     }
 
     lock.unlock();
-    RunAdmitted(core.get());
+    Status outcome = RunAdmitted(core.get());
     lock.lock();
 
+    // Settle before publishing: a waiter woken by Finish (or an OnDone
+    // callback it runs) must already see the ticket returned and the job
+    // counted as completed.
     stats_.admitted_bytes -= core->admitted_bytes;
     --stats_.running;
     ++stats_.completed;
@@ -269,21 +272,23 @@ void SortService::RunnerLoop() {
     }
     // A freed ticket may unblock the new head; tell the other runners.
     cv_.notify_all();
+
+    lock.unlock();
+    core->Finish(std::move(outcome));
+    lock.lock();
   }
 }
 
-void SortService::RunAdmitted(core_internal::JobCore* core) {
+Status SortService::RunAdmitted(core_internal::JobCore* core) {
   // "<dir>/scratch" -> "<dir>": the job's private namespace directory.
   const std::string dir = core->options.scratch_path.substr(
       0, core->options.scratch_path.size() - std::string("/scratch").size());
-  if (Status s = env_->CreateDir(dir); !s.ok()) {
-    core->Finish(std::move(s));
-    return;
-  }
-  core_internal::ExecuteJob(env_, core, &aio_, &pool_);
+  ALPHASORT_RETURN_IF_ERROR(env_->CreateDir(dir));
+  Status s = core_internal::ExecuteJob(env_, core, &aio_, &pool_);
   // Best-effort namespace removal. The job's sweeper already removed its
   // spills; a non-empty directory (foreign files) is left alone.
   env_->RemoveDir(dir);
+  return s;
 }
 
 SortServiceStats SortService::stats() const {

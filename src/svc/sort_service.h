@@ -120,7 +120,9 @@ class SortService {
   // without charging the budget. Caller holds mu_.
   void ReapQueuedLocked();
   bool HeadAdmittableLocked() const;
-  void RunAdmitted(core_internal::JobCore* core);
+  // Runs an admitted job and returns its outcome; the runner publishes
+  // it (JobCore::Finish) only after returning the job's ticket.
+  Status RunAdmitted(core_internal::JobCore* core);
 
   Env* const env_;
   const SortServiceOptions options_;

@@ -14,7 +14,6 @@
 #include "common/checksum.h"
 #include "common/huge_pages.h"
 #include "common/random.h"
-#include "common/sim_clock.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -256,18 +255,6 @@ TEST(FingerprintTest, MergeEqualsSequentialAdds) {
   part2.Add("c", 1);
   part1.Merge(part2);
   EXPECT_TRUE(whole == part1);
-}
-
-TEST(SimClockTest, AdvancesMonotonically) {
-  SimClock clock;
-  EXPECT_EQ(clock.NowNanos(), 0);
-  clock.AdvanceNanos(500);
-  clock.AdvanceSeconds(1.0);
-  EXPECT_EQ(clock.NowNanos(), 1000000500);
-  clock.AdvanceTo(10);  // in the past: no-op
-  EXPECT_EQ(clock.NowNanos(), 1000000500);
-  clock.AdvanceTo(2000000000);
-  EXPECT_DOUBLE_EQ(clock.NowSeconds(), 2.0);
 }
 
 TEST(TextTableTest, AlignsColumns) {

@@ -85,9 +85,9 @@ class NetServiceTest : public ::testing::Test {
 
   int port() const { return server_->port(); }
 
-  // The server counts a job completed after the trailing DONE is on
-  // the wire, so a client can observe its sorted stream a beat before
-  // the counter moves; waits out that beat.
+  // Waits until the server has counted `want` completed jobs. A client
+  // whose RESULT has arrived finds its job counted already; the wait
+  // covers tests that stop reading before the RESULT.
   void WaitForCompleted(uint64_t want) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -221,6 +221,37 @@ TEST_F(NetServiceTest, SortsOneJobEndToEnd) {
   const NetServerStats s = server_->stats();
   EXPECT_EQ(uint64_t(0), s.jobs_failed);
   EXPECT_EQ(uint64_t(0), s.protocol_errors);
+
+  client.Close();
+  ExpectNoResidue();
+}
+
+// A client whose RESULT has arrived finds its job settled everywhere:
+// the server counts the job before it sends the RESULT, and the service
+// settles the job before the server's sort wait wakes. Read right after
+// each job returns, with no wait.
+TEST_F(NetServiceTest, ResultArrivesAfterTheJobIsCounted) {
+  StartDefaultServer();
+  SortClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port(), "t0").ok());
+
+  const std::vector<char> data = MakeRecords(2000);
+  for (uint64_t i = 1; i <= 20; ++i) {
+    std::string sorted;
+    NetSortOutcome outcome;
+    SubmitSpec spec;
+    ASSERT_TRUE(
+        client.SubmitSort(spec, data.data(), data.size(), &sorted, &outcome)
+            .ok());
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    const NetServerStats s = server_->stats();
+    EXPECT_EQ(i, s.jobs_completed) << "job " << i;
+    EXPECT_EQ(uint64_t(0), s.jobs_failed);
+    const svc::SortServiceStats svc = server_->service_stats();
+    EXPECT_EQ(i, svc.completed) << "job " << i;
+    EXPECT_EQ(0, svc.running);
+    EXPECT_EQ(uint64_t(0), svc.admitted_bytes);
+  }
 
   client.Close();
   ExpectNoResidue();

@@ -18,6 +18,7 @@
 
 #include "benchlib/datamation.h"
 #include "common/table.h"
+#include "core/record_source.h"
 #include "io/env_stack.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -111,6 +112,47 @@ TEST(SortServiceTest, OversubscribedBudgetAllJobsComplete) {
   EXPECT_EQ(stats.running, 0);
   EXPECT_EQ(stats.admitted_bytes, 0u);
   ExpectNoScratch(mem.get());
+}
+
+// A job's waiter wakes to settled service state: the ticket returned,
+// the job no longer running and counted as completed. An OnDone callback
+// runs inside the job's publication, on the runner thread, so it sees
+// exactly what the runner settled before publishing. The job's source
+// factory holds it at startup until the callback is registered, so the
+// callback cannot run on this thread after the fact.
+TEST(SortServiceTest, WaiterWakesToSettledStats) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  svc::SortServiceOptions sopts;
+  sopts.memory_budget = 32 * kMB;
+  sopts.max_running = 1;
+  svc::SortService service(mem.get(), sopts);
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  SortOptions opts = JobOptions(0, 16 * kMB);
+  opts.input_path.clear();
+  opts.source = [gate]() -> std::shared_ptr<RecordSource> {
+    gate.wait();
+    return std::make_shared<GeneratedRecordSource>(kDatamationFormat, 20000);
+  };
+  Result<SortJob> job = service.Submit(opts);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  SortJob handle = std::move(job).value();
+
+  std::promise<svc::SortServiceStats> at_done;
+  std::future<svc::SortServiceStats> seen = at_done.get_future();
+  handle.OnDone([&service, &at_done] { at_done.set_value(service.stats()); });
+  release.set_value();
+
+  const SortResult& r = handle.Wait();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  const svc::SortServiceStats after_wait = service.stats();
+  const svc::SortServiceStats in_callback = seen.get();
+  for (const svc::SortServiceStats& stats : {in_callback, after_wait}) {
+    EXPECT_EQ(stats.running, 0);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.admitted_bytes, 0u);
+  }
 }
 
 // Past max_queued the service says Unavailable instead of buffering
