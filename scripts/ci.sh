@@ -178,9 +178,11 @@ stage_smokes() {
   # a number or as "unknown" (containers often deny PAGEMAP_SCAN). The
   # run sort must be the radix hybrid down to few-entry buckets: fewer
   # than 2 introsort compares per record (an introsort over 390-entry
-  # buckets pays about 7).
+  # buckets pays about 7). The merge tournament must pay one compare per
+  # level: at most ceil(log2 runs) per record (a tree that asked the
+  # order both ways paid 3.00 over these 4 runs, against a bound of 2).
   python3 - ci-artifacts/report.json <<'PY'
-import json, sys
+import json, math, sys
 report = json.load(open(sys.argv[1]))
 value = report["memory"]["record_block_huge_page_bytes"]
 assert report["schema_minor"] >= 3, report["schema_minor"]
@@ -191,6 +193,10 @@ print(f"report: record_block_huge_page_bytes = {value}")
 per_record = report["sort_stats"]["quicksort"]["compares"] / report["records"]
 assert per_record < 2, per_record
 print(f"report: run-sort compares per record = {per_record:.2f}")
+merge_per_record = report["sort_stats"]["merge"]["compares"] / report["records"]
+merge_bound = math.ceil(math.log2(report["runs"])) + 0.01
+assert merge_per_record <= merge_bound, (merge_per_record, merge_bound)
+print(f"report: merge compares per record = {merge_per_record:.4f}")
 PY
   # A non-default pass body gets the same phase stages from the shared
   # phase clock: a traced two-pass replacement-selection (vms) sort must

@@ -29,9 +29,7 @@ Status RunReader::Init() {
   return Status::OK();
 }
 
-Status RunReader::Advance() {
-  pos_ += fmt_.record_size;
-  if (pos_ < valid_[cur_]) return Status::OK();
+Status RunReader::NextBuffer() {
   // Current buffer drained: swap in the prefetched one and prefetch the
   // next stretch into the buffer just freed.
   if (!pending_in_flight_) {

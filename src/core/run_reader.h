@@ -40,9 +40,16 @@ class RunReader {
     return buffers_[cur_].data() + pos_;
   }
 
-  Status Advance();
+  // Steps to the next record. Inline for the in-buffer step, which is
+  // every record but the last of each buffer; NextBuffer() swaps buffers.
+  Status Advance() {
+    pos_ += fmt_.record_size;
+    if (pos_ < valid_[cur_]) return Status::OK();
+    return NextBuffer();
+  }
 
  private:
+  Status NextBuffer();
   void SubmitNext(size_t buf);
   Status WaitPendingInto(size_t buf);
 

@@ -27,27 +27,31 @@ struct EntryRun {
 // Key order over prefix entries that counts into `stats`: prefix first,
 // full record keys on prefix ties (the paper's "examine the full keys in
 // the records"). The order of every merge tournament: RunMerger's over
-// entry runs and the scratch merge's over RunReaders. A tie-break's two
-// key reads are reported to `tracer`; with NullTracer they compile away
-// and `tracer` may be null.
+// entry runs and the scratch merge's over RunReaders. The tournament
+// compares prefixes itself (Key) and calls Compare only on a prefix tie.
+// A tie-break's two key reads are reported to `tracer`; with NullTracer
+// they compile away and `tracer` may be null.
 template <typename Tracer = NullTracer>
 struct CountingEntryLess {
   RecordFormat format;
   SortStats* stats;
   Tracer* tracer = nullptr;
 
-  bool operator()(const PrefixEntry& a, const PrefixEntry& b) const {
-    ++stats->compares;
-    if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    if (format.key_size <= 8) return false;
+  static uint64_t Key(const PrefixEntry& e) { return e.prefix; }
+
+  // Three-way order of two entries with equal prefixes.
+  int Compare(const PrefixEntry& a, const PrefixEntry& b) const {
+    if (format.key_size <= 8) return 0;
     ++stats->tie_breaks;
     if constexpr (!std::is_same_v<Tracer, NullTracer>) {
       Mem<Tracer> mem(tracer);
       mem.TouchRead(format.KeyPtr(a.record), format.key_size);
       mem.TouchRead(format.KeyPtr(b.record), format.key_size);
     }
-    return format.CompareKeys(a.record, b.record) < 0;
+    return format.CompareKeys(a.record, b.record);
   }
+
+  void CountCompares(uint64_t n) const { stats->compares += n; }
 };
 
 // Merges K sorted runs of prefix entries with a loser tree, emitting the

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +55,17 @@ class TreeLayoutMap {
   std::vector<uint32_t> map_;  // heap index -> position (clustered only)
 };
 
+// An order the tournament can play on integer keys. Key(item) is a 64-bit
+// key that agrees with the order: an item with a smaller key sorts first.
+// Compare(a, b) orders two items whose keys are equal, three-way.
+// CountCompares(n) charges n item compares to the order's statistics.
+template <typename Less, typename Item>
+concept KeyedOrder = requires(Less& less, const Item& item, uint64_t n) {
+  { less.Key(item) } -> std::convertible_to<uint64_t>;
+  { less.Compare(item, item) } -> std::convertible_to<int>;
+  less.CountCompares(n);
+};
+
 // K-way loser tree ("tournament of replacement-selection", paper §4).
 //
 // Leaves hold one candidate item per input stream; internal nodes hold the
@@ -61,9 +73,13 @@ class TreeLayoutMap {
 // root. Replacing the winner costs exactly one leaf-to-root path of
 // compares: O(log K) per extracted item.
 //
-// Item is any copyable value; Less is a strict weak ordering. Exhausted
-// streams are represented with an explicit "infinite" flag rather than a
-// sentinel key, so any key value is legal input.
+// Item is any copyable value; Less is a strict weak ordering. A
+// KeyedOrder's key is cached per leaf, so a level whose keys differ costs
+// one integer compare and a branch-free select of the winner; equal keys
+// take the full order. Other orders have no key and play every level on
+// the full order. Exhausted streams carry an explicit flag, checked before
+// any key, rather than a sentinel key, so any key value (all ones
+// included) is legal input.
 template <typename Item, typename Less, typename Tracer = NullTracer>
 class LoserTree {
  public:
@@ -81,6 +97,7 @@ class LoserTree {
                           layout_map_.SlotsPerCluster(),
                       kInfinite),
         leaves_(k),
+        keys_(kKeyed ? k : 0),
         leaf_infinite_(k, true) {
     assert(k >= 1);
     // Align the node array to the cluster size so a clustered layout's
@@ -100,6 +117,7 @@ class LoserTree {
     mem_.TouchWrite(&leaves_[s], sizeof(Item));
     leaves_[s] = item;
     leaf_infinite_[s] = false;
+    if constexpr (kKeyed) mem_.Store(&keys_[s], uint64_t{less_.Key(item)});
   }
 
   void SetLeafExhausted(size_t s) { leaf_infinite_[s] = true; }
@@ -125,36 +143,54 @@ class LoserTree {
   // stream exhausted) and replays the winner's leaf-to-root path.
   void ReplaceWinner(const Item& item) {
     const size_t s = WinnerStream();
-    mem_.TouchWrite(&leaves_[s], sizeof(Item));
-    leaves_[s] = item;
-    leaf_infinite_[s] = false;
+    SetLeaf(s, item);
     Replay(s);
   }
 
   void ExhaustWinner() {
     const size_t s = WinnerStream();
-    leaf_infinite_[s] = true;
+    SetLeafExhausted(s);
     Replay(s);
   }
 
+  // Item compares: one per played level whose two streams are both live
+  // (a level against an exhausted stream is free).
   uint64_t compares() const { return compares_; }
 
  private:
   static constexpr size_t kInfinite = static_cast<size_t>(-1);
+  static constexpr bool kKeyed = KeyedOrder<Less, Item>;
 
-  // True iff stream a's item sorts before stream b's (infinite sorts last;
-  // ties broken by stream index for stability across equal keys).
-  bool StreamLess(size_t a, size_t b) {
-    if (a == kInfinite) return false;
-    if (b == kInfinite) return true;
-    if (leaf_infinite_[a]) return false;
-    if (leaf_infinite_[b]) return true;
-    ++compares_;
+  // Stream s's cached key (meaningful while s is live); a keyless
+  // order's keys are all 0, so every level ties.
+  uint64_t KeyOf(size_t s) {
+    if constexpr (kKeyed) {
+      return mem_.Load(&keys_[s]);
+    } else {
+      return 0;
+    }
+  }
+
+  // True iff live stream a sorts before live stream b, given that their
+  // keys are equal: the full order decides, then the stream index
+  // (stability across equal items).
+  bool TieBefore(size_t a, size_t b) {
     mem_.TouchRead(&leaves_[a], sizeof(Item));
     mem_.TouchRead(&leaves_[b], sizeof(Item));
-    if (less_(leaves_[a], leaves_[b])) return true;
-    if (less_(leaves_[b], leaves_[a])) return false;
-    return a < b;
+    int c;
+    if constexpr (kKeyed) {
+      c = less_.Compare(leaves_[a], leaves_[b]);
+    } else {
+      c = less_(leaves_[a], leaves_[b]) ? -1
+          : less_(leaves_[b], leaves_[a]) ? 1
+                                          : 0;
+    }
+    return c < 0 || (c == 0 && a < b);
+  }
+
+  void ChargeCompares(uint64_t n) {
+    compares_ += n;
+    if constexpr (kKeyed) less_.CountCompares(n);
   }
 
   size_t& NodeAt(size_t heap_index) {
@@ -162,25 +198,45 @@ class LoserTree {
   }
 
   // Replays the path from leaf `s` to the root: at each node the incoming
-  // winner is compared with the stored loser; the loser stays, the winner
-  // moves up. Leaf s sits at virtual heap index k_+s; internal nodes are
-  // 1..k_-1 (Knuth's tree-of-losers numbering).
+  // winner meets the stored loser; the loser stays, the winner moves up.
+  // Leaf s sits at virtual heap index k_+s; internal nodes are 1..k_-1
+  // (Knuth's tree-of-losers numbering). An exhausted loser never wins, so
+  // its level is free; an exhausted winner (after ExhaustWinner) loses to
+  // the first live loser it meets. Between live streams, keys that differ
+  // decide with no branch on the outcome: the result becomes a mask that
+  // selects the new winner, its key, and the loser stored back. A tie
+  // reads both records, and there the outcome is a branch: a select would
+  // make the next pop wait for those loads, where a predicted branch runs
+  // ahead of them (a Zipfian merge ran up to 2x slower with a select).
   void Replay(size_t s) {
-    if (k_ == 1) {
-      winner_ = leaf_infinite_[0] ? kInfinite : 0;
-      return;
-    }
     size_t winner = s;
+    uint64_t winner_key = KeyOf(s);
+    bool winner_live = !leaf_infinite_[s];
+    uint64_t live_levels = 0;
     for (size_t node = (k_ + s) / 2; node >= 1; node /= 2) {
-      size_t& loser = NodeAt(node);
-      mem_.TouchRead(&loser, sizeof(size_t));
-      if (StreamLess(loser, winner)) {
-        std::swap(loser, winner);
-        mem_.TouchWrite(&NodeAt(node), sizeof(size_t));
+      size_t* slot = &NodeAt(node);
+      const size_t loser = mem_.Load(slot);
+      if (leaf_infinite_[loser]) continue;
+      const uint64_t loser_key = KeyOf(loser);
+      if (!winner_live || loser_key == winner_key) {
+        live_levels += winner_live;
+        if (!winner_live || TieBefore(loser, winner)) {
+          mem_.Store(slot, winner);
+          winner = loser;
+          winner_key = loser_key;
+          winner_live = true;
+        }
+        continue;
       }
+      ++live_levels;
+      const size_t mask = -static_cast<size_t>(loser_key < winner_key);
+      const size_t swap = (winner ^ loser) & mask;
+      mem_.Store(slot, loser ^ swap);
+      winner ^= swap;
+      winner_key ^= (winner_key ^ loser_key) & mask;
     }
-    winner_ = (winner != kInfinite && leaf_infinite_[winner]) ? kInfinite
-                                                              : winner;
+    ChargeCompares(live_levels);
+    winner_ = winner_live ? winner : kInfinite;
   }
 
   size_t RebuildSubtree(size_t node);
@@ -193,6 +249,7 @@ class LoserTree {
   std::vector<size_t> node_storage_;  // backing store (over-allocated)
   size_t* nodes_ = nullptr;  // aligned view: losing stream per position
   std::vector<Item> leaves_;
+  std::vector<uint64_t> keys_;  // per leaf; empty for a keyless order
   std::vector<char> leaf_infinite_;
   size_t winner_ = kInfinite;
   uint64_t compares_ = 0;
@@ -209,7 +266,16 @@ size_t LoserTree<Item, Less, Tracer>::RebuildSubtree(size_t node) {
   };
   const size_t w_left = resolve(2 * node);
   const size_t w_right = resolve(2 * node + 1);
-  if (StreamLess(w_right, w_left)) {
+  const bool left_live = !leaf_infinite_[w_left];
+  const bool right_live = !leaf_infinite_[w_right];
+  ChargeCompares(left_live && right_live);
+  const uint64_t left_key = KeyOf(w_left);
+  const uint64_t right_key = KeyOf(w_right);
+  const bool right_wins =
+      right_live &&
+      (!left_live || (right_key != left_key ? right_key < left_key
+                                            : TieBefore(w_right, w_left)));
+  if (right_wins) {
     NodeAt(node) = w_left;
     return w_right;
   }
@@ -219,12 +285,8 @@ size_t LoserTree<Item, Less, Tracer>::RebuildSubtree(size_t node) {
 
 template <typename Item, typename Less, typename Tracer>
 void LoserTree<Item, Less, Tracer>::Rebuild() {
-  if (k_ == 1) {
-    winner_ = leaf_infinite_[0] ? kInfinite : 0;
-    return;
-  }
-  size_t w = RebuildSubtree(1);
-  winner_ = (w != kInfinite && leaf_infinite_[w]) ? kInfinite : w;
+  const size_t w = k_ == 1 ? 0 : RebuildSubtree(1);
+  winner_ = leaf_infinite_[w] ? kInfinite : w;
   compares_ = 0;  // setup compares are not charged to the merge
 }
 
