@@ -88,15 +88,16 @@ stage_tier1() {
   echo "=== tier 1: forced-scalar build (ALPHASORT_FORCE_SCALAR) ==="
   # The SIMD shim's scalar fallback (src/common/simd.h) must stay a
   # first-class citizen: every sort kernel, the parity fuzz suite, and
-  # the pipeline CRC checks rerun with the vector paths compiled out.
-  # Bounded to the sort-focused suites -- the rest of the tree never
-  # touches the shim.
+  # the pipeline CRC checks rerun with the vector paths compiled out, and
+  # common_test's checksum cases (known vectors, corruption,
+  # Crc32cCombine) run on Crc32c's slice-by-8 loop. Bounded to those
+  # suites -- the rest of the tree never touches the shim.
   cmake -B build-scalar -S . -DALPHASORT_FORCE_SCALAR=ON >/dev/null
   cmake --build build-scalar -j "$(nproc)" --target \
     simd_test radix_partition_test quicksort_test merge_partition_test \
-    alphasort_test pipeline_matrix_test
+    alphasort_test pipeline_matrix_test common_test
   run_ctest build-scalar -R \
-    '^(simd_test|radix_partition_test|quicksort_test|merge_partition_test|alphasort_test|pipeline_matrix_test)$'
+    '^(simd_test|radix_partition_test|quicksort_test|merge_partition_test|alphasort_test|pipeline_matrix_test|common_test)$'
 }
 
 # --- stage: sanitizers ----------------------------------------------

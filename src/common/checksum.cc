@@ -35,6 +35,36 @@ constexpr SliceTables MakeSliceTables() {
 }
 constexpr SliceTables kSlice = MakeSliceTables();
 
+// GF(2) operators on the raw register: a matrix is 32 columns, column i
+// the image of bit i. kZeroBytes[k] advances the register through 2^k
+// zero bytes (multiplication by x^(8 * 2^k) mod the polynomial).
+using Gf2Matrix = std::array<uint32_t, 32>;
+
+constexpr uint32_t Gf2MatrixTimes(const Gf2Matrix& mat, uint32_t vec) {
+  uint32_t sum = 0;
+  for (size_t i = 0; vec != 0; vec >>= 1, ++i) {
+    if (vec & 1) sum ^= mat[i];
+  }
+  return sum;
+}
+
+constexpr Gf2Matrix Gf2MatrixSquare(const Gf2Matrix& mat) {
+  Gf2Matrix square{};
+  for (size_t i = 0; i < 32; ++i) square[i] = Gf2MatrixTimes(mat, mat[i]);
+  return square;
+}
+
+constexpr std::array<Gf2Matrix, 64> MakeZeroBytes() {
+  std::array<Gf2Matrix, 64> ops{};
+  Gf2Matrix bit{};  // one zero bit
+  bit[0] = kCrc32cPoly;
+  for (size_t i = 1; i < 32; ++i) bit[i] = uint32_t{1} << (i - 1);
+  ops[0] = Gf2MatrixSquare(Gf2MatrixSquare(Gf2MatrixSquare(bit)));
+  for (size_t k = 1; k < 64; ++k) ops[k] = Gf2MatrixSquare(ops[k - 1]);
+  return ops;
+}
+constexpr std::array<Gf2Matrix, 64> kZeroBytes = MakeZeroBytes();
+
 // The scalar fallback, on the raw (uninverted) register.
 uint32_t Crc32cSliceBy8(uint32_t c, const unsigned char* p, size_t n) {
   if constexpr (std::endian::native == std::endian::little) {
@@ -53,17 +83,75 @@ uint32_t Crc32cSliceBy8(uint32_t c, const unsigned char* p, size_t n) {
 }
 
 #if defined(ALPHASORT_SIMD_CRC32C)
-// One instruction per 8-byte word, then the byte tail. A single
-// dependency chain (~8 bytes per 3 cycles) already outruns memory
-// bandwidth on the buffers the sort checksums.
-uint32_t Crc32cHardware(uint32_t c, const unsigned char* p, size_t n) {
+// Shift tables: t[j][b] is the zero-byte operator for one lane length
+// applied to byte b at register byte j, so shifting a register is four
+// independent lookups.
+using ShiftTable = std::array<std::array<uint32_t, 256>, 4>;
+constexpr ShiftTable MakeShiftTable(const Gf2Matrix& op) {
+  ShiftTable t{};
+  for (size_t j = 0; j < 4; ++j) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      t[j][b] = Gf2MatrixTimes(op, b << (8 * j));
+    }
+  }
+  return t;
+}
+
+// Applies a shift table to the register in the low half of `c`.
+inline uint64_t Shift(const ShiftTable& t, uint64_t c) {
+  return t[0][c & 0xff] ^ t[1][(c >> 8) & 0xff] ^ t[2][(c >> 16) & 0xff] ^
+         t[3][(c >> 24) & 0xff];
+}
+
+// The hardware path's lane lengths (powers of two, so each operator is
+// one kZeroBytes entry).
+constexpr size_t kLongLane = size_t{1} << 13;  // 8 KiB
+constexpr size_t kShortLane = size_t{1} << 8;  // 256 B
+constexpr ShiftTable kLongShift = MakeShiftTable(kZeroBytes[13]);
+constexpr ShiftTable kShortShift = MakeShiftTable(kZeroBytes[8]);
+
+// Advances the raw register `c` over three adjacent lanes of kLane bytes
+// at a time while at least 3 * kLane bytes remain: three independent
+// instruction chains, so the loop runs at the CRC instruction's
+// throughput (one per cycle) instead of its latency (three cycles).
+// `shift` is kLane's zero-byte operator; the raw register is linear, so
+// crc(c, A||B) == shift_|B|(crc(c, A)) ^ crc(0, B) folds the lanes.
+template <size_t kLane>
+void Crc32cThreeLanes(uint64_t& c, const unsigned char*& p, size_t& n,
+                      const ShiftTable& shift) {
+  for (; n >= 3 * kLane; n -= 3 * kLane, p += 3 * kLane) {
+    uint64_t c0 = c;
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (size_t i = 0; i < kLane; i += 8) {
+      uint64_t w0, w1, w2;
+      memcpy(&w0, p + i, 8);
+      memcpy(&w1, p + kLane + i, 8);
+      memcpy(&w2, p + 2 * kLane + i, 8);
+      c0 = simd::Crc32cU64(c0, w0);
+      c1 = simd::Crc32cU64(c1, w1);
+      c2 = simd::Crc32cU64(c2, w2);
+    }
+    c = Shift(shift, Shift(shift, c0) ^ c1) ^ c2;
+  }
+}
+
+// Three chains over 8 KiB lanes, then over 256 B lanes, then one chain
+// over the words of the last < 768 bytes, then the byte tail. A single
+// chain (~8 bytes per 3 cycles) is slower than the cache the merge's
+// output batches sit in; three keep the instruction busy every cycle.
+uint32_t Crc32cHardware(uint32_t crc, const unsigned char* p, size_t n) {
+  uint64_t c = crc;
+  Crc32cThreeLanes<kLongLane>(c, p, n, kLongShift);
+  Crc32cThreeLanes<kShortLane>(c, p, n, kShortShift);
   for (; n >= 8; n -= 8, p += 8) {
     uint64_t w;
     memcpy(&w, p, 8);
     c = simd::Crc32cU64(c, w);
   }
-  for (; n > 0; --n, ++p) c = simd::Crc32cU8(c, *p);
-  return c;
+  crc = static_cast<uint32_t>(c);
+  for (; n > 0; --n, ++p) crc = simd::Crc32cU8(crc, *p);
+  return crc;
 }
 #endif
 
@@ -77,50 +165,17 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-// GF(2) vector-matrix product: each matrix column is the image of one
-// bit of `vec` under multiplication by x^k mod the CRC polynomial.
-uint32_t Gf2MatrixTimes(const uint32_t* mat, uint32_t vec) {
-  uint32_t sum = 0;
-  while (vec != 0) {
-    if (vec & 1) sum ^= *mat;
-    vec >>= 1;
-    ++mat;
-  }
-  return sum;
-}
-
-void Gf2MatrixSquare(uint32_t* square, const uint32_t* mat) {
-  for (int n = 0; n < 32; ++n) square[n] = Gf2MatrixTimes(mat, mat[n]);
-}
-
 }  // namespace
 
 uint32_t Crc32cCombine(uint32_t crc1, uint32_t crc2, uint64_t len2) {
   // zlib's crc32_combine ported to the Castagnoli polynomial: advance
-  // crc1 through len2 zero bytes by repeated matrix squaring (the matrix
-  // for x^8, squared per bit of len2), then fold in crc2. The pre/post
-  // inversion Crc32c applies cancels out of the algebra, so the final
-  // conditioned values combine directly.
-  if (len2 == 0) return crc1;
-  uint32_t even[32];  // operator for 2^k zero bytes, k even
-  uint32_t odd[32];   // ... k odd
-  odd[0] = kCrc32cPoly;  // operator for one zero bit
-  uint32_t row = 1;
-  for (int n = 1; n < 32; ++n) {
-    odd[n] = row;
-    row <<= 1;
+  // crc1 through len2 zero bytes, one power-of-two operator per set bit
+  // of len2, then fold in crc2. The pre/post inversion Crc32c applies
+  // cancels out of the algebra, so the final conditioned values combine
+  // directly.
+  for (size_t k = 0; len2 != 0; ++k, len2 >>= 1) {
+    if (len2 & 1) crc1 = Gf2MatrixTimes(kZeroBytes[k], crc1);
   }
-  Gf2MatrixSquare(even, odd);   // one zero byte, two bits at a time...
-  Gf2MatrixSquare(odd, even);   // ...four bits: even is now 8 bits = 1 byte
-  do {
-    Gf2MatrixSquare(even, odd);
-    if (len2 & 1) crc1 = Gf2MatrixTimes(even, crc1);
-    len2 >>= 1;
-    if (len2 == 0) break;
-    Gf2MatrixSquare(odd, even);
-    if (len2 & 1) crc1 = Gf2MatrixTimes(odd, crc1);
-    len2 >>= 1;
-  } while (len2 != 0);
   return crc1 ^ crc2;
 }
 

@@ -10,8 +10,9 @@ namespace alphasort {
 // Crc32c result): Crc32c(b, Crc32c(a)) == Crc32c(a||b). Checksums every
 // merged output byte, every spilled-run byte and every byte on the wire,
 // so it runs on the CRC-32C instruction where one is compiled in (SSE4.2
-// `crc32` on x86-64, the ARMv8 CRC extension on AArch64; common/simd.h)
-// and on a slice-by-8 table loop otherwise. The forced-scalar build
+// `crc32` on x86-64, the ARMv8 CRC extension on AArch64; common/simd.h),
+// three independent chains at a time, and on a slice-by-8 table loop
+// otherwise. The forced-scalar build
 // (ALPHASORT_SIMD_FORCE_SCALAR) and the run-time kill switch
 // (simd::SetForceScalar, read once per call) select the table loop. Both
 // paths return identical values.

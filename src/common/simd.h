@@ -352,15 +352,17 @@ inline unsigned GreaterU32Mask(V128 a, V128 b) { return LessU32Mask(b, a); }
 
 // ---------------------------------------------------------------------------
 // CRC-32C steps: the reflected Castagnoli register advanced over 8 bytes
-// (little-endian word) or 1 byte, with no pre/post inversion.
+// (little-endian word) or 1 byte, with no pre/post inversion. The 8-byte
+// step keeps the register in the low half of a 64-bit value, as x86's
+// `crc32` does, so a chain of steps needs no zero-extension between them.
 // ---------------------------------------------------------------------------
 
 #if defined(ALPHASORT_SIMD_CRC32C)
-inline uint32_t Crc32cU64(uint32_t crc, uint64_t v) {
+inline uint64_t Crc32cU64(uint64_t crc, uint64_t v) {
 #if defined(ALPHASORT_SIMD_SSE)
-  return static_cast<uint32_t>(_mm_crc32_u64(crc, v));
+  return _mm_crc32_u64(crc, v);
 #else
-  return __crc32cd(crc, v);
+  return __crc32cd(static_cast<uint32_t>(crc), v);
 #endif
 }
 inline uint32_t Crc32cU8(uint32_t crc, uint8_t v) {

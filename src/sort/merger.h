@@ -104,8 +104,6 @@ class RunMerger {
     return n;
   }
 
-  uint64_t tree_compares() const { return tree_.compares(); }
-
  private:
   Tracer default_tracer_{};
   std::vector<EntryRun> runs_;

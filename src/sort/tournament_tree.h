@@ -154,7 +154,8 @@ class LoserTree {
   }
 
   // Item compares: one per played level whose two streams are both live
-  // (a level against an exhausted stream is free).
+  // (a level against an exhausted stream is free), Rebuild's up to K-1
+  // included. A KeyedOrder's CountCompares sees the same count.
   uint64_t compares() const { return compares_; }
 
  private:
@@ -287,7 +288,6 @@ template <typename Item, typename Less, typename Tracer>
 void LoserTree<Item, Less, Tracer>::Rebuild() {
   const size_t w = k_ == 1 ? 0 : RebuildSubtree(1);
   winner_ = leaf_infinite_[w] ? kInfinite : w;
-  compares_ = 0;  // setup compares are not charged to the merge
 }
 
 }  // namespace alphasort

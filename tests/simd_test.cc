@@ -389,5 +389,49 @@ TEST(Crc32cParityTest, CombineLawsHoldOnBothPaths) {
   }
 }
 
+// The instruction path folds three chains over 8 KiB lanes while 24 KiB
+// remain, then over 256 B lanes while 768 B remain. Lengths on either
+// side of each block size (and of several long blocks), at every
+// misalignment and seed, and chained calls split inside a long-lane and
+// inside a short-lane block, all match the byte-at-a-time reference.
+TEST(Crc32cParityTest, MatchesReferenceAcrossLaneBlocks) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  const std::vector<unsigned char> bytes = RandomBytes(3 * kMiB + 5 + 16, 17);
+  const uint32_t kSeeds[] = {0, 0xffffffffu, 0x9e3779b9u, 0x00000001u,
+                             0xdeadbeefu};
+  size_t case_no = 0;
+  for (const size_t len :
+       {size_t{767}, size_t{768}, size_t{769}, size_t{24575}, size_t{24576},
+        size_t{24577}, 3 * size_t{24576} - 1, 3 * size_t{24576} + 1,
+        kMiB + 7, 3 * kMiB + 5}) {
+    for (size_t misalign = 0; misalign < 16; ++misalign, ++case_no) {
+      const uint32_t seed = kSeeds[case_no % 5];
+      const unsigned char* p = bytes.data() + misalign;
+      const uint32_t want = ReferenceCrc32c(p, len, seed);
+      const uint32_t hw = Crc32c(p, len, seed);
+      const uint32_t sw = ScalarCrc32c(p, len, seed);
+      if (hw != want || sw != want) {
+        FAIL() << "len=" << len << " misalign=" << misalign << " seed="
+               << seed << ": reference " << want << ", default " << hw
+               << ", scalar " << sw;
+      }
+    }
+  }
+
+  // Two long blocks, two short blocks and a tail in one call.
+  const size_t total = 2 * 24576 + 2 * 768 + 11;
+  const uint32_t whole = ReferenceCrc32c(bytes.data(), total, 0);
+  for (const size_t split :
+       {size_t{5000}, size_t{8192 + 1}, size_t{24576 + 12345},
+        2 * size_t{24576} + 300, 2 * size_t{24576} + 768 + 700}) {
+    const unsigned char* a = bytes.data();
+    const unsigned char* b = bytes.data() + split;
+    const size_t len_b = total - split;
+    EXPECT_EQ(whole, Crc32c(b, len_b, Crc32c(a, split))) << split;
+    EXPECT_EQ(whole, ScalarCrc32c(b, len_b, Crc32c(a, split))) << split;
+    EXPECT_EQ(whole, Crc32c(b, len_b, ScalarCrc32c(a, split))) << split;
+  }
+}
+
 }  // namespace
 }  // namespace alphasort
