@@ -4,10 +4,8 @@
 //
 //   ./asort --in INPUT [--in INPUT2 ...] --out OUTPUT
 //           [--record-size R] [--key-size K] [--key-offset OFF]
-//           [--workers N] [--merge-parallelism P] [--prefetch-distance D]
-//           [--memory-mb M]
+//           [--workers N] [--memory-mb M]
 //           [--algorithm alphasort|vms]
-//           [--sort-kernel auto|quicksort]
 //           [--merge] [--verify] [--quiet]
 //           [--trace=FILE] [--report=FILE] [--metrics] [--mem]
 //           [--gen-records N]
@@ -16,9 +14,8 @@
 // definition is created automatically, mirroring the first input's width,
 // if it does not exist). With --merge, every INPUT must already be
 // sorted and the inputs are merged into OUTPUT (sort's classic -m mode)
-// by the sort's own partitioned merge, so --workers and
-// --merge-parallelism apply to it too. --sort-kernel radix_hybrid is an
-// alias for auto.
+// by the sort's own partitioned merge, so --workers applies to it too:
+// every merge splits into two key ranges per worker.
 //
 // Observability (docs/observability.md): --trace=FILE records a span
 // timeline of the sort and writes Chrome trace-event JSON openable in
@@ -59,11 +56,8 @@ struct Args {
   size_t key_size = 10;
   size_t key_offset = 0;
   int workers = 0;
-  int merge_parallelism = -1;  // -1 = auto (2 × workers key ranges)
-  long prefetch_distance = -1;  // -1 = library default, 0 = disable
   uint64_t memory_mb = 256;
   std::string algorithm = "alphasort";
-  std::string sort_kernel = "auto";  // in-cache run sort: auto|quicksort
   bool merge = false;
   bool verify = false;
   bool quiet = false;
@@ -78,9 +72,7 @@ int Usage(const char* prog) {
   fprintf(stderr,
           "usage: %s --in INPUT [--in INPUT2 ...] --out OUTPUT "
           "[--record-size R] [--key-size K] [--key-offset OFF] "
-          "[--workers N] [--merge-parallelism P] [--prefetch-distance D] "
-          "[--memory-mb M] [--algorithm alphasort|vms] "
-          "[--sort-kernel auto|quicksort] "
+          "[--workers N] [--memory-mb M] [--algorithm alphasort|vms] "
           "[--merge] [--verify] [--quiet] [--trace=FILE] [--report=FILE] "
           "[--metrics] [--mem] [--gen-records N]\n",
           prog);
@@ -106,11 +98,8 @@ int main(int argc, char** argv) {
     else if (const char* v = need("--key-size")) args.key_size = strtoul(v, nullptr, 10);
     else if (const char* v = need("--key-offset")) args.key_offset = strtoul(v, nullptr, 10);
     else if (const char* v = need("--workers")) args.workers = atoi(v);
-    else if (const char* v = need("--merge-parallelism")) args.merge_parallelism = atoi(v);
-    else if (const char* v = need("--prefetch-distance")) args.prefetch_distance = atol(v);
     else if (const char* v = need("--memory-mb")) args.memory_mb = strtoull(v, nullptr, 10);
     else if (const char* v = need("--algorithm")) args.algorithm = v;
-    else if (const char* v = need("--sort-kernel")) args.sort_kernel = v;
     else if (const char* v = need("--trace")) args.trace_path = v;
     else if (strncmp(argv[i], "--trace=", 8) == 0) args.trace_path = argv[i] + 8;
     else if (const char* v = need("--report")) args.report_path = v;
@@ -130,11 +119,6 @@ int main(int argc, char** argv) {
   }
   if (args.algorithm != "alphasort" && args.algorithm != "vms") {
     fprintf(stderr, "unknown algorithm '%s'\n", args.algorithm.c_str());
-    return 2;
-  }
-  SortKernel sort_kernel;
-  if (!ParseSortKernel(args.sort_kernel, &sort_kernel)) {
-    fprintf(stderr, "unknown sort kernel '%s'\n", args.sort_kernel.c_str());
     return 2;
   }
 
@@ -163,11 +147,6 @@ int main(int argc, char** argv) {
   opts.format = RecordFormat(args.record_size, args.key_size,
                              args.key_offset);
   opts.num_workers = args.workers;
-  opts.sort_kernel = sort_kernel;
-  opts.merge_parallelism = args.merge_parallelism;
-  if (args.prefetch_distance >= 0) {
-    opts.prefetch_distance = static_cast<size_t>(args.prefetch_distance);
-  }
   opts.memory_budget = args.memory_mb << 20;
   opts.scratch_path = args.out + ".scratch";
   if (!opts.format.Valid()) {

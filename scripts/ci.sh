@@ -211,7 +211,7 @@ PY
   ./build/examples/report_lint ci-artifacts/report_vms.json
   # The default body's two-pass sort with workers: its scratch runs are
   # merged in key ranges, each range a merge.range stage of its own, and
-  # the report must say the final merge split.
+  # the report must say the final merge split into 2 × 3 workers ranges.
   ./build/examples/asort --mem --gen-records 300000 --memory-mb 8 \
     --workers 3 --in smoke_2p_in.dat --out smoke_2p_out.dat \
     --trace=ci-artifacts/trace_twopass.json \
@@ -223,14 +223,14 @@ PY
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["passes"] == 2, report["passes"]
-assert report["merge_ranges"] > 1, report["merge_ranges"]
+assert report["merge_ranges"] == 6, report["merge_ranges"]
 print(f"report: two-pass merge_ranges = {report['merge_ranges']}")
 PY
   # asort --merge runs on the same partitioned scratch-run merge, over
-  # sorted host files: with workers it must split into key ranges, write
-  # exactly what one sort of the concatenated inputs writes, report that
-  # output's CRC, and walk the phase clock (report_lint checks that the
-  # phases add up to the total).
+  # sorted host files: with 3 workers it must split into 2 × 3 key
+  # ranges, write exactly what one sort of the concatenated inputs
+  # writes, report that output's CRC, and walk the phase clock
+  # (report_lint checks that the phases add up to the total).
   merge_dir=$(mktemp -d)
   ./build/examples/gen_records --out "$merge_dir/a.raw" --records 60000 \
     --seed 1 --dist fewdistinct
@@ -252,7 +252,7 @@ PY
 import json, sys
 merge = json.load(open(sys.argv[1]))
 whole = json.load(open(sys.argv[2]))
-assert merge["merge_ranges"] > 1, merge["merge_ranges"]
+assert merge["merge_ranges"] == 6, merge["merge_ranges"]
 crc = merge["integrity"]["output_crc32c"]
 assert crc == whole["integrity"]["output_crc32c"], (crc, whole["integrity"])
 print(f"report: merge merge_ranges = {merge['merge_ranges']}, crc {crc}")

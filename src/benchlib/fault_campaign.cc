@@ -138,22 +138,14 @@ TrialResult RunFaultTrial(uint64_t seed, uint64_t max_records) {
   opts.io_depth = 2 + static_cast<int>(rng.Uniform(3));
   opts.num_workers = static_cast<int>(rng.Uniform(3));
   opts.max_merge_fanin = 2 + rng.Uniform(6);
-  // Exercise the key-range-partitioned merge (docs/perf.md) under fault
-  // injection too: auto, forced-sequential, and explicit range counts.
-  const int kMergeParallelism[] = {-1, 1, 2, 4};
-  opts.merge_parallelism = kMergeParallelism[rng.Uniform(4)];
-  const size_t kPrefetchDistance[] = {0, 8, 32};
-  opts.prefetch_distance = kPrefetchDistance[rng.Uniform(3)];
-  // A spare draw (it once picked the removed merge-prefetch knob): taking
-  // it keeps every seed's later fields, and so its whole configuration,
-  // as they were.
+  // Spare draws: they once picked the merge's range count, the prefetch
+  // distance, a merge-prefetch switch and the run-sort kernel, which the
+  // sort now fixes or derives. Taking them keeps every seed's later
+  // fields, and so its whole configuration, as they were.
+  (void)rng.Uniform(4);
+  (void)rng.Uniform(3);
   (void)rng.OneIn(2);
-  // Both kernels must survive every fault schedule — their output is
-  // byte-identical, so any divergence the validator catches is a bug.
-  // Quicksort takes one draw in three, the hybrid the other two, so each
-  // seed keeps the kernel it has always run.
-  opts.sort_kernel =
-      rng.Uniform(3) == 1 ? SortKernel::kQuickSort : SortKernel::kAuto;
+  (void)rng.Uniform(3);
   opts.scratch_stripe_width = rng.OneIn(3) ? 2 : 0;
   opts.retry_policy.max_attempts = 2 + static_cast<int>(rng.Uniform(4));
   opts.retry_policy.backoff_initial_us = 1;

@@ -26,8 +26,9 @@ namespace alphasort {
 // How many elements ahead the memory-bound loops prefetch by default.
 // Far enough that the line arrives before the loop reaches it, near
 // enough that it is still resident; 8 records ≈ 800 B ≈ a DRAM access
-// worth of loop iterations for Datamation-sized records. Tuned via
-// SortOptions::prefetch_distance (0 disables the hints entirely).
+// worth of loop iterations for Datamation-sized records. The pipeline
+// always uses it; the kernels take the distance as an argument so the
+// benches can pass 0, which disables the hints entirely.
 inline constexpr size_t kDefaultPrefetchDistance = 8;
 
 }  // namespace alphasort

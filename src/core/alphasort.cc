@@ -191,7 +191,7 @@ Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
   // caller's env so every physical attempt is timed individually, retry
   // on top so each re-attempt passes back through metrics.
   EnvStack stack(env);
-  if (options.collect_io_metrics) stack.PushMetrics();
+  stack.PushMetrics();
   if (options.retry_policy.enabled()) stack.PushRetry(options.retry_policy);
 
   SortContext ctx;

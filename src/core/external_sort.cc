@@ -256,21 +256,19 @@ Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
   // actually consumed against what the spill pass wrote. A mismatch means
   // the scratch bytes changed between write and read — surface it as
   // corruption, never as silently wrong output.
-  if (opts.verify_run_checksums) {
-    for (size_t s = 0; s < k; ++s) {
-      if (!runs[s].crc32c) continue;
-      uint32_t read_crc = 0;
-      for (size_t r = 0; r < ranges; ++r) {
-        read_crc = Crc32cCombine(read_crc, slice_crc[r][s],
-                                 slices.SliceRecords(r, s) * rec);
-      }
-      if (read_crc != *runs[s].crc32c) {
-        return Status::Corruption(StrFormat(
-            "scratch run %s corrupted: crc32c %08x on read, %08x on write",
-            runs[s].path.c_str(), read_crc, *runs[s].crc32c));
-      }
-      ++ctx->metrics->runs_checksum_verified;
+  for (size_t s = 0; s < k; ++s) {
+    if (!runs[s].crc32c) continue;
+    uint32_t read_crc = 0;
+    for (size_t r = 0; r < ranges; ++r) {
+      read_crc = Crc32cCombine(read_crc, slice_crc[r][s],
+                               slices.SliceRecords(r, s) * rec);
     }
+    if (read_crc != *runs[s].crc32c) {
+      return Status::Corruption(StrFormat(
+          "scratch run %s corrupted: crc32c %08x on read, %08x on write",
+          runs[s].path.c_str(), read_crc, *runs[s].crc32c));
+    }
+    ++ctx->metrics->runs_checksum_verified;
   }
   return Status::OK();
 }

@@ -21,12 +21,12 @@ namespace alphasort {
 //
 // The inputs' keys are sampled every kSampleStride records, and the merge
 // splits into key ranges, each merged by one of `options.num_workers`
-// workers (two ranges per worker unless merge_parallelism says
-// otherwise; one range, merged by the caller, without workers).
-// `options` also supplies io_chunk_bytes, io_threads, memory_budget (the
-// read-ahead buffers) and the env wrapping (collect_io_metrics,
-// retry_policy); the rest is unused. `metrics` reports the phases,
-// merge_ranges and the output's output_crc32c, like a sort's.
+// workers (two ranges per worker; one range, merged by the caller,
+// without workers). `options` also supplies io_chunk_bytes, io_threads
+// (at least one, else InvalidArgument), memory_budget (the read-ahead
+// buffers) and retry_policy; the rest is unused. `metrics` reports the
+// phases, the IO latencies, merge_ranges and the output's output_crc32c,
+// like a sort's.
 Status MergeSortedFiles(Env* env, const std::vector<std::string>& inputs,
                         const std::string& output,
                         const SortOptions& options,

@@ -70,14 +70,6 @@ Status SortOptions::Validate() const {
   if (retry_policy.max_attempts < 1) {
     return Status::InvalidArgument("retry_policy.max_attempts must be >= 1");
   }
-  if (merge_parallelism < -1 || merge_parallelism == 0) {
-    return Status::InvalidArgument(
-        "merge_parallelism must be -1 (auto) or >= 1");
-  }
-  if (!SortKernelIsValid(sort_kernel)) {
-    return Status::InvalidArgument(
-        "sort_kernel must be auto or quicksort");
-  }
   return Status::OK();
 }
 

@@ -7,11 +7,9 @@
 #include <memory>
 #include <string>
 
-#include "common/prefetch.h"
 #include "common/status.h"
 #include "io/retry_env.h"
 #include "record/record.h"
-#include "sort/sort_kernel.h"
 
 namespace alphasort {
 
@@ -19,7 +17,13 @@ class RecordSource;  // core/record_source.h
 using RecordSourceFactory = std::function<std::shared_ptr<RecordSource>()>;
 
 // Configuration for one AlphaSort run. Defaults reproduce the paper's
-// choices at laptop scale.
+// choices at laptop scale. The sort fixes the rest, as the paper does
+// (§5–§6): the workers prefault a block of known size, the IO is timed
+// (SortMetrics::read_io / write_io), every spilled run's CRC-32C is
+// verified as the merge reads it back, runs sort with the MSB-radix
+// hybrid (sort/sort_kernel.h), the hot kernels prefetch
+// kDefaultPrefetchDistance records ahead, and every merge asks for
+// 2 × num_workers key ranges (one, filled by the root, without workers).
 struct SortOptions {
   // Input path; a ".str" suffix opens it as a striped file (paper §6),
   // anything else as a plain file. Sugar for `source`: a set input_path
@@ -83,12 +87,6 @@ struct SortOptions {
   // runs than this, the merge cascades through intermediate levels.
   size_t max_merge_fanin = 128;
 
-  // Touch every page of the record/entry arrays across the workers before
-  // reading, the paper's §5 chore ("the workers sweep through the address
-  // space touching pages... zeroing a 1 GB address space takes 12 cpu
-  // seconds"), so page faults don't serialize inside the IO loop.
-  bool prefault_memory = true;
-
   // Pin each worker to a CPU ("affinity minimizes the cache faults and
   // invalidations that occur when a single process migrates among
   // multiple processors", §5). Best-effort; ignored where unsupported.
@@ -100,43 +98,6 @@ struct SortOptions {
   // throughput instead of killing the sort (docs/fault_tolerance.md).
   // Set max_attempts = 1 to fail fast on the first IOError.
   RetryPolicy retry_policy;
-
-  // Verify the CRC-32C of every spilled run as the merge pass streams it
-  // back; a mismatch surfaces as Status::Corruption instead of silently
-  // wrong output. Checksums are computed on write either way.
-  bool verify_run_checksums = true;
-
-  // Wrap the Env in an obs::MetricsEnv for the duration of the sort and
-  // fill SortMetrics::read_io / write_io with per-direction IO latency
-  // percentiles. Costs two clock reads per IO request — invisible next
-  // to the request itself — and never touches the compare path.
-  bool collect_io_metrics = true;
-
-  // Ways to split every merge's key space across workers (paper §5: the
-  // root subdivides the merge so every processor drives its own
-  // tournament) — the one-pass merge, each spill and the scratch-run
-  // merge alike. -1 = auto (2 × num_workers ranges: the root drives the
-  // IO and merges no range, so 4 ranges on 3 workers would run in two
-  // rounds; docs/perf.md); 1 = the classic single global tournament;
-  // N > 1 = at most N disjoint key ranges. With num_workers == 0 the root
-  // fills one range itself. Output bytes and CRC are identical either way
-  // (sort/merge_partition.h documents why).
-  int merge_parallelism = -1;
-
-  // Records/entries of lookahead for the software-prefetch hints in the
-  // hot kernels (entry build, tournament leaf replacement, gather).
-  // 0 disables the hints entirely; see common/prefetch.h and
-  // docs/perf.md for the measured effect.
-  size_t prefetch_distance = kDefaultPrefetchDistance;
-
-  // In-cache sort kernel for run generation (sort/sort_kernel.h):
-  // kQuickSort is the paper's key-prefix introsort; kAuto, the default,
-  // is the MSB-radix hybrid, which puts partition passes over the
-  // prefixes in front of it until buckets hold at most 16 entries. Both
-  // produce byte-identical output (same strict total order), so this is
-  // purely a speed knob — docs/perf.md "The MSB-radix hybrid" has the
-  // measurements.
-  SortKernel sort_kernel = SortKernel::kAuto;
 
   // Force a pass count (0 = choose by memory_budget).
   int force_passes = 0;
@@ -170,8 +131,6 @@ struct SortOptions {
   //     planner needs room for at least a few buffers)
   //   - num_workers >= 0, force_passes in {0,1,2}, time_limit_s >= 0,
   //     retry_policy.max_attempts >= 1
-  //   - merge_parallelism is -1 (auto) or >= 1
-  //   - sort_kernel is auto or quicksort
   // Returns InvalidArgument naming the violated invariant.
   Status Validate() const;
 

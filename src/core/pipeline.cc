@@ -352,8 +352,7 @@ class EntryRangeProducer : public RangeProducer {
     }
     {
       obs::Stage stage(&ctx_->perf, "gather.slice", "cpu");
-      GatherRecords(opts.format, ptrs_.data(), n, out,
-                    opts.prefetch_distance);
+      GatherRecords(opts.format, ptrs_.data(), n, out);
     }
     return Status::OK();
   }
@@ -511,7 +510,7 @@ Status RunPasses(SortContext* ctx) {
         ->GetCounter("memory.huge_page_advised_bytes")
         ->Add(AdviseHugePages(block.get(), cap0 * rec));
   }
-  if (opts.prefault_memory && ctx->size_known) {
+  if (ctx->size_known) {
     Prefault(ctx, block.get(), cap0 * rec, ents, cap0);
   }
 
@@ -522,10 +521,9 @@ Status RunPasses(SortContext* ctx) {
                       const char* base, uint64_t start, uint64_t len) {
     obs::Stage stage(&ctx->perf, "quicksort.run", "cpu");
     SortStats stats;
-    BuildPrefixEntryArray(opts.format, base + start * rec, len, ents + start,
-                          opts.prefetch_distance);
+    BuildPrefixEntryArray(opts.format, base + start * rec, len, ents + start);
     SortPrefixEntryArrayWithKernel(opts.format, ents + start, len,
-                                   opts.sort_kernel, &stats);
+                                   SortKernel::kAuto, &stats);
     qs_stats.Add(stats);
     ProgressSorted(ctx, len * rec);
   };

@@ -159,14 +159,12 @@ inline size_t MergeBatchBytes(const SortOptions& opts) {
   return std::max<size_t>(1, opts.io_chunk_bytes / rec) * rec;
 }
 
-// Key ranges every merge asks for (SortOptions::merge_parallelism): by
-// default two per worker, because the root drives the IO and merges no
-// range itself (docs/perf.md). Without workers the root fills one range.
+// Key ranges every merge asks for: two per worker, because the root
+// drives the IO and merges no range itself (docs/perf.md "Derived, not
+// set"). Without workers the root fills one range.
 inline size_t MergeRanges(const SortContext* ctx) {
   const int workers = ctx->pool->num_workers();
-  if (workers == 0) return 1;
-  const int want = ctx->options->merge_parallelism;
-  return static_cast<size_t>(want == -1 ? 2 * workers : want);
+  return workers == 0 ? 1 : 2 * static_cast<size_t>(workers);
 }
 
 // One key range's records, produced in key order batch by batch. Made
@@ -238,13 +236,13 @@ Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
 
 // A sorted run in a file: a scratch run the sort spilled, or a sorted
 // input of MergeSortedFiles. A spilled run's CRC-32C is computed as it is
-// written, and the merge pass verifies it as it streams the run back
-// (SortOptions::verify_run_checksums), so an undetected scratch-disk
-// corruption surfaces as Status::Corruption instead of silently wrong
-// output. An input file has no recorded CRC; the merge checks its key
-// order instead. `sample_keys` holds the key of every kSampleStride-th
-// record (sort/merge_partition.h), from which the merge partitions the
-// run into key ranges.
+// written, and the merge pass always verifies it as it streams the run
+// back, so an undetected scratch-disk corruption surfaces as
+// Status::Corruption instead of silently wrong output. An input file has
+// no recorded CRC; the merge checks its key order instead. `sample_keys`
+// holds the key of every kSampleStride-th record
+// (sort/merge_partition.h), from which the merge partitions the run into
+// key ranges.
 struct ScratchRun {
   std::string path;
   uint64_t bytes = 0;
@@ -300,11 +298,10 @@ Status WriteScratchRun(SortContext* ctx, int level, uint64_t records,
 // Merges the sorted run files `runs` into `out` through PartitionedMerge
 // (the scratch-run merge): the runs' samples pick up to MergeRanges(ctx)
 // key ranges, and each range reads its own slice of every run. A run with
-// a recorded CRC is verified against it (verify_run_checksums). If any
-// run has none, the merged key stream is checked instead, within each
-// range and across range boundaries: a decrease is Status::Corruption
-// ("input is not sorted"). Reports the output CRC and, if asked, the
-// range count.
+// a recorded CRC is verified against it. If any run has none, the merged
+// key stream is checked instead, within each range and across range
+// boundaries: a decrease is Status::Corruption ("input is not sorted").
+// Reports the output CRC and, if asked, the range count.
 Status MergeRunFiles(SortContext* ctx, const std::vector<ScratchRun>& runs,
                      const MergeOutput& out, uint32_t* crc,
                      size_t* num_ranges = nullptr);

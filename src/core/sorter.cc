@@ -66,7 +66,7 @@ Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
       "job=%llu in=%s out=%s workers=%d budget=%llu%s",
       static_cast<unsigned long long>(job->id), in_label.c_str(),
       job->options.output_path.c_str(),
-      job->options.num_workers,
+      pool->num_workers(),
       static_cast<unsigned long long>(job->options.memory_budget),
       job->down_negotiated ? " down_negotiated" : "");
   job->result.report.metrics = job->result.metrics;

@@ -18,8 +18,8 @@
 namespace alphasort {
 
 // Latency/volume summary of one direction of IO (reads or writes),
-// filled from the obs::MetricsEnv histograms when the pipeline runs with
-// SortOptions::collect_io_metrics. Percentiles are microseconds.
+// filled from the obs::MetricsEnv histograms the pipeline wraps around
+// every sort's env. Percentiles are microseconds.
 struct IoLatencyStats {
   uint64_t ops = 0;
   uint64_t bytes = 0;
@@ -56,7 +56,7 @@ struct SortMetrics {
   // Key ranges the final merge was split into: the in-memory merge of a
   // one-pass sort, the last scratch-run merge of a two-pass sort (1 = the
   // classic single global tournament; >1 = the §5 partitioned parallel
-  // merge, see SortOptions::merge_parallelism and docs/perf.md).
+  // merge, up to two ranges per worker; see docs/perf.md).
   uint64_t merge_ranges = 1;
   int passes = 1;
   uint64_t scratch_bytes_written = 0;  // two-pass only

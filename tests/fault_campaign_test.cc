@@ -125,43 +125,6 @@ TEST(FaultCampaignTest, ScratchCorruptionIsCaughtByRunChecksums) {
   EXPECT_TRUE(stray.empty()) << stray[0];
 }
 
-// With verification disabled the same corrupted bytes flow through the
-// merge unchecked — pinning that the checksum is what catches them, not
-// some other accident of the pipeline.
-TEST(FaultCampaignTest, DisablingVerificationLetsCorruptionThrough) {
-  auto mem = NewMemEnv();
-  FaultInjectionEnv fenv(mem.get());
-
-  InputSpec spec;
-  spec.path = "in.dat";
-  spec.num_records = 5000;
-  spec.seed = 1618;
-  ASSERT_TRUE(CreateInputFile(&fenv, spec).ok());
-
-  SortOptions opts;
-  opts.input_path = "in.dat";
-  opts.output_path = "out.dat";
-  opts.scratch_path = "scratch";
-  opts.force_passes = 2;
-  opts.run_size_records = 500;
-  opts.io_chunk_bytes = 8 * 1024;
-  opts.verify_run_checksums = false;
-
-  FaultPlan plan;
-  plan.seed = 2718;
-  FaultSpec corrupting;
-  corrupting.corrupt_write_prob = 1;
-  plan.overrides.emplace_back("scratch.l", corrupting);
-  fenv.SetPlan(plan);
-
-  SortMetrics metrics;
-  Status s = AlphaSort::Run(&fenv, opts, &metrics);
-  fenv.SetPlan(FaultPlan{});
-  ASSERT_TRUE(s.ok()) << s.ToString();  // the sort cannot tell
-  Status v = ValidateSortedFile(mem.get(), "in.dat", "out.dat", opts.format);
-  EXPECT_FALSE(v.ok());  // ...but the output really is wrong
-}
-
 // A sort killed mid-spill by a dead scratch path must clean up every
 // stripe fragment it created (the ScratchSweeper guarantee).
 TEST(FaultCampaignTest, FailedSortLeaksNoScratchFiles) {

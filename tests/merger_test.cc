@@ -1,10 +1,13 @@
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "record/generator.h"
 #include "record/validator.h"
+#include "sort/compact_entry.h"
 #include "sort/merger.h"
 #include "sort/quicksort.h"
 #include "tests/test_util.h"
@@ -156,6 +159,51 @@ TEST(MergerTest, GatherCopiesExactBytes) {
   GatherRecords(kDatamationFormat, ptrs.data(), n, out.data());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(memcmp(out.data() + i * 100, ptrs[i], 100), 0);
+  }
+}
+
+// The prefetch distance is a pure hint: the entry builds and the gather
+// write the same entries and bytes at every distance, 0 (no hints, as the
+// benches run them) and one past the end of the input included.
+TEST(MergerTest, PrefetchDistanceDoesNotChangeKernelOutput) {
+  const RecordFormat& fmt = kDatamationFormat;
+  const size_t n = 1000;
+  RecordGenerator gen(fmt, 21);
+  const std::vector<char> block = gen.Generate(KeyDistribution::kUniform, n);
+  // A scattered gather order: 7919 is prime, so i * 7919 mod n visits
+  // every record once.
+  std::vector<const char*> ptrs(n);
+  for (size_t i = 0; i < n; ++i) {
+    ptrs[i] = block.data() + (i * 7919 % n) * fmt.record_size;
+  }
+
+  std::vector<PrefixEntry> want_prefix(n);
+  std::vector<CompactEntry> want_compact(n);
+  std::vector<char> want_out(n * fmt.record_size);
+  BuildPrefixEntryArray(fmt, block.data(), n, want_prefix.data(), 0);
+  BuildCompactEntryArray(fmt, block.data(), n, want_compact.data(), 0);
+  GatherRecords(fmt, ptrs.data(), n, want_out.data(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(memcmp(want_out.data() + i * fmt.record_size, ptrs[i],
+                     fmt.record_size),
+              0);
+  }
+
+  for (size_t distance : {size_t{8}, size_t{64}, n + 1}) {
+    SCOPED_TRACE("distance " + std::to_string(distance));
+    std::vector<PrefixEntry> prefix(n);
+    std::vector<CompactEntry> compact(n);
+    std::vector<char> out(n * fmt.record_size);
+    BuildPrefixEntryArray(fmt, block.data(), n, prefix.data(), distance);
+    BuildCompactEntryArray(fmt, block.data(), n, compact.data(), distance);
+    GatherRecords(fmt, ptrs.data(), n, out.data(), distance);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(prefix[i].prefix, want_prefix[i].prefix) << i;
+      EXPECT_EQ(prefix[i].record, want_prefix[i].record) << i;
+      EXPECT_EQ(compact[i].prefix, want_compact[i].prefix) << i;
+      EXPECT_EQ(compact[i].index, want_compact[i].index) << i;
+    }
+    EXPECT_TRUE(out == want_out);
   }
 }
 

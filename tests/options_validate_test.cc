@@ -123,26 +123,6 @@ TEST(SortOptionsValidateTest, WorkersPassesDeadlineRetry) {
   ExpectInvalid(opts, "zero retry attempts");
 }
 
-TEST(SortOptionsValidateTest, MergeParallelismAutoOrPositive) {
-  SortOptions opts = ValidOptions();
-  opts.merge_parallelism = 0;
-  ExpectInvalid(opts, "merge_parallelism 0");
-
-  opts = ValidOptions();
-  opts.merge_parallelism = -2;
-  ExpectInvalid(opts, "merge_parallelism -2");
-
-  opts = ValidOptions();
-  opts.merge_parallelism = -1;  // auto
-  EXPECT_TRUE(opts.Validate().ok());
-
-  opts.merge_parallelism = 1;  // sequential
-  EXPECT_TRUE(opts.Validate().ok());
-
-  opts.merge_parallelism = 8;
-  EXPECT_TRUE(opts.Validate().ok());
-}
-
 TEST(SortOptionsValidateTest, SourceAndInputPathAreExactlyOne) {
   // No input at all: neither the sugar nor a factory.
   SortOptions opts = ValidOptions();
@@ -158,14 +138,6 @@ TEST(SortOptionsValidateTest, SourceAndInputPathAreExactlyOne) {
   // Both set is ambiguous and rejected.
   opts.input_path = "in.dat";
   ExpectInvalid(opts, "both input_path and source");
-}
-
-TEST(SortOptionsValidateTest, PrefetchDistanceAnyValueIncludingZero) {
-  SortOptions opts = ValidOptions();
-  opts.prefetch_distance = 0;  // 0 = hints disabled, still valid
-  EXPECT_TRUE(opts.Validate().ok());
-  opts.prefetch_distance = 64;
-  EXPECT_TRUE(opts.Validate().ok());
 }
 
 }  // namespace

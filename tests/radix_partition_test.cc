@@ -1,13 +1,16 @@
 #include "sort/radix_partition.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "benchlib/datamation.h"
+#include "common/checksum.h"
 #include "common/simd.h"
 #include "core/alphasort.h"
 #include "io/env.h"
@@ -234,71 +237,59 @@ TEST(RadixPartitionTest, KernelDispatchRespectsSelection) {
   EXPECT_GE(shape.partition_passes, 1u);
 }
 
-// --- options plumbing.
+// --- pipeline level: the sort writes its input ordered by full key, ties
+// in input order. That is the strict order both kernels share, so which
+// kernel sorted the runs cannot show in the output; std::stable_sort by
+// full key gives it without either kernel, and pins the tie order, which
+// the validator does not check.
 
-TEST(RadixPartitionTest, SortKernelNamesRoundTrip) {
-  for (SortKernel k : {SortKernel::kAuto, SortKernel::kQuickSort}) {
-    SortKernel parsed;
-    ASSERT_TRUE(ParseSortKernel(SortKernelName(k), &parsed));
-    EXPECT_EQ(parsed, k);
+std::string StableSortByKey(const RecordFormat& fmt,
+                            const std::string& input) {
+  const size_t rec = fmt.record_size;
+  std::vector<const char*> records(input.size() / rec);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i] = input.data() + i * rec;
   }
-  // The hybrid's old kernel name still parses, as an alias for kAuto.
-  SortKernel alias = SortKernel::kQuickSort;
-  ASSERT_TRUE(ParseSortKernel("radix_hybrid", &alias));
-  EXPECT_EQ(alias, SortKernel::kAuto);
-  SortKernel parsed = SortKernel::kAuto;
-  EXPECT_FALSE(ParseSortKernel("bogosort", &parsed));
-  EXPECT_EQ(parsed, SortKernel::kAuto);
+  std::stable_sort(records.begin(), records.end(),
+                   [&fmt](const char* a, const char* b) {
+                     return fmt.CompareKeys(a, b) < 0;
+                   });
+  std::string out;
+  out.reserve(input.size());
+  for (const char* r : records) out.append(r, rec);
+  return out;
 }
 
-TEST(RadixPartitionTest, ValidateRejectsBogusKernel) {
-  SortOptions opts;
-  opts.input_path = "in.dat";
-  opts.output_path = "out.dat";
-  EXPECT_TRUE(opts.Validate().ok());
-  opts.sort_kernel = static_cast<SortKernel>(42);
-  EXPECT_TRUE(opts.Validate().IsInvalidArgument());
-}
-
-// --- pipeline-level CRC equality: spilled-run and one-pass outputs must
-// be byte-identical whichever kernel sorted the runs.
-
-struct KernelRun {
-  std::unique_ptr<Env> env = NewMemEnv();
-  SortMetrics metrics;
-
-  Status Run(SortKernel kernel, KeyDistribution dist, int passes) {
-    InputSpec spec;
-    spec.path = "in.dat";
-    spec.num_records = 12000;
-    spec.distribution = dist;
-    spec.seed = 4242;
-    ALPHASORT_RETURN_IF_ERROR(CreateInputFile(env.get(), spec));
-    SortOptions opts;
-    opts.input_path = spec.path;
-    opts.output_path = "out.dat";
-    opts.sort_kernel = kernel;
-    opts.num_workers = 2;
-    opts.run_size_records = 5000;  // several runs, all over budget
-    opts.io_chunk_bytes = 16 * 1024;
-    opts.force_passes = passes;
-    ALPHASORT_RETURN_IF_ERROR(AlphaSort::Run(env.get(), opts, &metrics));
-    return ValidateSortedFile(env.get(), spec.path, opts.output_path,
-                              opts.format);
-  }
-};
-
-TEST(RadixPartitionTest, PipelineOutputCrcMatchesQuicksortKernel) {
+TEST(RadixPartitionTest, PipelineOutputMatchesStableSortByKey) {
   for (KeyDistribution dist : test::AllDistributions()) {
     for (int passes : {1, 2}) {
-      KernelRun quick;
-      Status qs = quick.Run(SortKernel::kQuickSort, dist, passes);
-      ASSERT_TRUE(qs.ok()) << qs.ToString();
-      KernelRun hybrid;
-      Status hs = hybrid.Run(SortKernel::kAuto, dist, passes);
-      ASSERT_TRUE(hs.ok()) << hs.ToString();
-      EXPECT_EQ(quick.metrics.output_crc32c, hybrid.metrics.output_crc32c)
-          << test::DistributionName(dist) << " passes=" << passes;
+      SCOPED_TRACE(std::string(test::DistributionName(dist)) +
+                   " passes=" + std::to_string(passes));
+      auto env = NewMemEnv();
+      InputSpec spec;
+      spec.path = "in.dat";
+      spec.num_records = 12000;
+      spec.distribution = dist;
+      spec.seed = 4242;
+      ASSERT_TRUE(CreateInputFile(env.get(), spec).ok());
+      SortOptions opts;
+      opts.input_path = spec.path;
+      opts.output_path = "out.dat";
+      opts.num_workers = 2;
+      opts.run_size_records = 5000;  // several runs, all over budget
+      opts.io_chunk_bytes = 16 * 1024;
+      opts.force_passes = passes;
+      SortMetrics metrics;
+      Status s = AlphaSort::Run(env.get(), opts, &metrics);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(metrics.passes, passes);
+
+      const std::string expected = StableSortByKey(
+          spec.format, env->ReadFileToString(spec.path).value());
+      const std::string output = env->ReadFileToString("out.dat").value();
+      EXPECT_TRUE(output == expected);
+      EXPECT_EQ(metrics.output_crc32c,
+                Crc32c(expected.data(), expected.size()));
     }
   }
 }

@@ -342,6 +342,29 @@ TEST(SortServiceTest, OversizeRequestIsDownNegotiated) {
   ExpectNoScratch(mem.get());
 }
 
+// A service's jobs run on its shared pool, whatever their own
+// num_workers says, so a job's report names the pool's worker count and
+// its merge splits into two key ranges per pool worker.
+TEST(SortServiceTest, ReportNamesThePoolWorkerCount) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  ASSERT_TRUE(MakeInput(mem.get(), 0, 20000).ok());
+
+  svc::SortServiceOptions sopts;
+  sopts.memory_budget = 32 * kMB;
+  sopts.num_workers = 3;
+  svc::SortService service(mem.get(), sopts);
+
+  SortOptions opts = JobOptions(0, 16 * kMB);
+  ASSERT_EQ(opts.num_workers, 0);
+  Result<SortJob> job = service.Submit(opts);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  const SortResult& r = job.value().Wait();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.metrics.merge_ranges, 6u);
+  EXPECT_NE(r.report.config.find(" workers=3 "), std::string::npos)
+      << r.report.config;
+}
+
 // Down-negotiation re-validates: when the clamped budget cannot hold
 // even a few io chunks, Submit fails loudly instead of queueing a job
 // that can never run.
