@@ -9,9 +9,10 @@
 // NAME has at least one sample with a nonzero value.
 //
 // --flight validates a flight-recorder JSONL capture instead
-// (obs::ValidateFlightRecorderJsonl) and prints each job's last-known
-// phase and fraction — the "what was the wedged job doing" replay. Exits
-// nonzero on any malformed line.
+// (obs::ValidateFlightRecorderJsonl, which walks the lines with the
+// shared obs::ForEachJsonLine reader) and, from that same single parse,
+// prints each job's last-known phase and fraction — the "what was the
+// wedged job doing" replay. Exits nonzero on any malformed line.
 //
 // Used by scripts/ci.sh to round-trip a live SortService scrape through
 // the format validator.
@@ -48,11 +49,6 @@ std::string SampleName(const std::string& line) {
 }
 
 int LintFlight(const std::string& path, const std::string& content) {
-  if (Status s = obs::ValidateFlightRecorderJsonl(content); !s.ok()) {
-    fprintf(stderr, "expo_lint: %s: %s\n", path.c_str(),
-            s.ToString().c_str());
-    return 1;
-  }
   // Replay: the last record mentioning each job wins. A wedged or
   // crashed run leaves its jobs' final rows here.
   struct LastSeen {
@@ -62,20 +58,10 @@ int LintFlight(const std::string& path, const std::string& content) {
   };
   std::map<uint64_t, LastSeen> last;
   size_t records = 0;
-  size_t start = 0;
-  while (start < content.size()) {
-    size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    const std::string line = content.substr(start, end - start);
-    start = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+  auto replay = [&](const obs::JsonValue& root) {
     ++records;
-    obs::JsonValue root;
-    if (!obs::ParseJson(line, &root).ok()) continue;  // validated above
     const obs::JsonValue* ts = root.Find("ts_ms");
-    const obs::JsonValue* jobs = root.Find("jobs");
-    if (jobs == nullptr || !jobs->IsArray()) continue;
-    for (const obs::JsonValue& job : jobs->items) {
+    for (const obs::JsonValue& job : root.Find("jobs")->items) {
       const obs::JsonValue* id = job.Find("id");
       const obs::JsonValue* phase = job.Find("phase");
       const obs::JsonValue* fraction = job.Find("fraction");
@@ -87,8 +73,14 @@ int LintFlight(const std::string& path, const std::string& content) {
       if (fraction != nullptr && fraction->IsNumber()) {
         seen.fraction = fraction->number_value;
       }
-      if (ts != nullptr && ts->IsNumber()) seen.ts_ms = ts->number_value;
+      seen.ts_ms = ts->number_value;
     }
+  };
+  if (Status s = obs::ValidateFlightRecorderJsonl(content, replay);
+      !s.ok()) {
+    fprintf(stderr, "expo_lint: %s: %s\n", path.c_str(),
+            s.ToString().c_str());
+    return 1;
   }
   printf("expo_lint: %s ok (%zu flight records, %zu jobs seen)\n",
          path.c_str(), records, last.size());

@@ -6,8 +6,8 @@
 //
 // Default mode checks FILE against the log JSONL schema
 // (obs::ValidateLogJsonl: numeric ts_us, known level, non-empty event
-// per line) and that every --require-event NAME appears as some line's
-// exact event name.
+// per line) and, from that same single parse, that every
+// --require-event NAME appears as some line's exact event name.
 //
 // --burst needs no file: it pushes a 10k-event burst through one
 // rate-limited call site into a MemoryLogSink and exits nonzero unless
@@ -119,26 +119,16 @@ int main(int argc, char** argv) {
   while ((got = fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, got);
   fclose(f);
 
-  if (Status s = obs::ValidateLogJsonl(content); !s.ok()) {
+  std::set<std::string> events;
+  size_t lines = 0;
+  auto collect = [&](const obs::JsonValue& root) {
+    ++lines;
+    events.insert(root.Find("event")->string_value);
+  };
+  if (Status s = obs::ValidateLogJsonl(content, collect); !s.ok()) {
     fprintf(stderr, "log_lint: %s: %s\n", path.c_str(),
             s.ToString().c_str());
     return 1;
-  }
-
-  std::set<std::string> events;
-  size_t lines = 0;
-  size_t start = 0;
-  while (start < content.size()) {
-    size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    const std::string line = content.substr(start, end - start);
-    start = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    ++lines;
-    obs::JsonValue root;
-    if (!obs::ParseJson(line, &root).ok()) continue;  // validated above
-    const obs::JsonValue* ev = root.Find("event");
-    if (ev != nullptr && ev->IsString()) events.insert(ev->string_value);
   }
   for (const std::string& want : required_events) {
     if (events.count(want) == 0) {

@@ -5,7 +5,9 @@
 //                [--require-job NAME]... [--require-trace-id NAME]...
 //                [--distinct-threads N]
 //
-// Exits 0 when FILE parses as a structurally valid Chrome trace, every
+// Exits 0 when FILE parses as a structurally valid Chrome trace
+// (obs::ValidateChromeTraceJson, which reads it once with the shared
+// obs::ParseJson reader and hands the document back), every
 // --require NAME appears as an event-name substring, every
 // --require-counter NAME appears as a counter event (ph "C") with that
 // exact name and a numeric args.value, every event whose name contains a
@@ -94,7 +96,11 @@ int main(int argc, char** argv) {
             path.c_str());
     return 1;
   }
-  if (Status s = obs::ValidateChromeTraceJson(json); !s.ok()) {
+  // One parse: the validator checks the shape and the required event
+  // fields and hands back the document for the content questions below
+  // (names, counters, per-thread timestamp order).
+  obs::JsonValue root;
+  if (Status s = obs::ValidateChromeTraceJson(json, &root); !s.ok()) {
     const size_t last = json.find_last_not_of(" \t\r\n");
     if (last == std::string::npos || json[last] != '}') {
       fprintf(stderr,
@@ -106,21 +112,8 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-
-  // The streaming checker above validated structure and required event
-  // fields; the DOM pass answers content questions (names, counters,
-  // per-thread timestamp order).
-  obs::JsonValue root;
-  if (Status s = obs::ParseJson(json, &root); !s.ok()) {
-    fprintf(stderr, "trace_lint: %s\n", s.ToString().c_str());
-    return 1;
-  }
   const obs::JsonValue* events =
       root.IsObject() ? root.Find("traceEvents") : &root;
-  if (events == nullptr || !events->IsArray()) {
-    fprintf(stderr, "trace_lint: no traceEvents array\n");
-    return 1;
-  }
 
   std::set<std::string> names;
   std::set<std::string> counter_names;

@@ -36,9 +36,11 @@
 // clock-sync markers) survive — the single-job join; without it every
 // event from both files is kept.
 //
-// The merged document is re-validated with obs::ValidateChromeTraceJson
-// before it is written, so a bug here fails the CI smoke instead of
-// producing a file only a browser can reject.
+// Each input is read once: obs::ValidateChromeTraceJson checks it and
+// hands back the parsed document the merge works on. The merged
+// document is re-validated the same way before it is written, so a bug
+// here fails the CI smoke instead of producing a file only a browser can
+// reject.
 
 #include <algorithm>
 #include <cmath>
@@ -173,23 +175,13 @@ int LoadTrace(const char* role, const std::string& path, TraceFile* out) {
   size_t got;
   while ((got = fread(buf, 1, sizeof(buf), f)) > 0) json.append(buf, got);
   fclose(f);
-  if (Status s = obs::ValidateChromeTraceJson(json); !s.ok()) {
-    fprintf(stderr, "trace_merge: %s trace %s: %s\n", role, path.c_str(),
-            s.ToString().c_str());
-    return 1;
-  }
-  if (Status s = obs::ParseJson(json, &out->root); !s.ok()) {
+  if (Status s = obs::ValidateChromeTraceJson(json, &out->root); !s.ok()) {
     fprintf(stderr, "trace_merge: %s trace %s: %s\n", role, path.c_str(),
             s.ToString().c_str());
     return 1;
   }
   out->events = out->root.IsObject() ? FindMut(out->root, "traceEvents")
                                      : &out->root;
-  if (out->events == nullptr || !out->events->IsArray()) {
-    fprintf(stderr, "trace_merge: %s trace %s has no traceEvents array\n",
-            role, path.c_str());
-    return 1;
-  }
   out->sync = FindClockSync(*out->events);
   if (!out->sync.found) {
     fprintf(stderr,

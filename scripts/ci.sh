@@ -171,6 +171,24 @@ stage_smokes() {
     --require-counter aio.queue_depth --require-counter chores.queue_depth \
     --require-job sort.run --require-job quicksort --require-job merge \
     --distinct-threads 3
+  # The lint must reject what a trace viewer cannot load: a number JSON
+  # forbids ("ts":.5, which the browser's JSON.parse refuses) and an
+  # event missing a required field ("ph"). Exit 1 is a rejected trace;
+  # 2 would be a usage error, which proves nothing.
+  printf '%s' \
+    '{"traceEvents":[{"name":"a","ph":"X","ts":.5,"pid":1,"tid":0}]}' \
+    > ci-artifacts/bad_trace_number.json
+  printf '%s' '{"traceEvents":[{"name":"a","ts":0,"pid":1,"tid":0}]}' \
+    > ci-artifacts/bad_trace_no_ph.json
+  for bad in ci-artifacts/bad_trace_number.json \
+      ci-artifacts/bad_trace_no_ph.json; do
+    rc=0
+    ./build/examples/trace_lint "$bad" || rc=$?
+    if [ "$rc" -ne 1 ]; then
+      echo "trace_lint exited $rc on $bad, wanted 1 (rejected)" >&2
+      exit 1
+    fi
+  done
   # The report must carry the full v1 sort-report schema: phase
   # breakdown summing to the total, IO percentiles, registry delta, and
   # hardware counters populated or explicitly unavailable.

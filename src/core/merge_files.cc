@@ -97,9 +97,8 @@ Status MergeSortedFiles(Env* env, const std::vector<std::string>& inputs,
   if (!options.format.Valid()) {
     return Status::InvalidArgument("invalid record format");
   }
-  if (options.io_threads <= 0) {
-    return Status::InvalidArgument("io_threads must be >= 1");
-  }
+  ALPHASORT_RETURN_IF_ERROR(
+      ValidatePoolSizes(options.num_workers, options.io_threads));
   AsyncIO aio(options.io_threads);
   ChorePool pool(options.num_workers, options.use_affinity);
   return core_internal::RunInHarness(

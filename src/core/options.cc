@@ -4,6 +4,16 @@
 
 namespace alphasort {
 
+Status ValidatePoolSizes(int num_workers, int io_threads) {
+  if (io_threads <= 0) {
+    return Status::InvalidArgument("io_threads must be >= 1");
+  }
+  if (num_workers < 0) {
+    return Status::InvalidArgument("num_workers must be >= 0");
+  }
+  return Status::OK();
+}
+
 Status SortOptions::Validate() const {
   if (input_path.empty() && !source) {
     return Status::InvalidArgument(
@@ -26,9 +36,7 @@ Status SortOptions::Validate() const {
   if (run_size_records == 0) {
     return Status::InvalidArgument("run_size_records must be positive");
   }
-  if (io_threads <= 0) {
-    return Status::InvalidArgument("io_threads must be >= 1");
-  }
+  ALPHASORT_RETURN_IF_ERROR(ValidatePoolSizes(num_workers, io_threads));
   if (io_depth < 1) {
     return Status::InvalidArgument("io_depth must be >= 1");
   }
@@ -57,9 +65,6 @@ Status SortOptions::Validate() const {
         static_cast<unsigned long long>(memory_budget),
         static_cast<unsigned long long>(kMinMemoryBudgetChunks),
         io_chunk_bytes));
-  }
-  if (num_workers < 0) {
-    return Status::InvalidArgument("num_workers must be >= 0");
   }
   if (force_passes < 0 || force_passes > 2) {
     return Status::InvalidArgument("force_passes must be 0, 1 or 2");

@@ -124,12 +124,13 @@ struct SortOptions {
   //   - exactly one of input_path / source set, output_path set and
   //     distinct from input_path, valid record format
   //   - run_size_records > 0
-  //   - io_threads >= 1, io_depth >= 1, io_chunk_bytes > 0
+  //   - ValidatePoolSizes(num_workers, io_threads)
+  //   - io_depth >= 1, io_chunk_bytes > 0
   //   - max_merge_fanin >= 2 (a 1-way "merge" cannot make progress)
   //   - scratch_path set, scratch_stripe_width <= kMaxScratchStripeWidth
   //   - memory_budget >= kMinMemoryBudgetChunks IO chunks (the two-pass
   //     planner needs room for at least a few buffers)
-  //   - num_workers >= 0, force_passes in {0,1,2}, time_limit_s >= 0,
+  //   - force_passes in {0,1,2}, time_limit_s >= 0,
   //     retry_policy.max_attempts >= 1
   // Returns InvalidArgument naming the violated invariant.
   Status Validate() const;
@@ -137,6 +138,14 @@ struct SortOptions {
   static constexpr size_t kMaxScratchStripeWidth = 64;
   static constexpr uint64_t kMinMemoryBudgetChunks = 4;
 };
+
+// The one check of the two pool sizes every sort builds its ChorePool
+// and AsyncIO from: io_threads >= 1 (an AsyncIO without threads never
+// completes a read, so its sort waits forever) and num_workers >= 0 (0 =
+// the root sorts alone). SortOptions::Validate, Sorter::Start,
+// SortService::Submit and MergeSortedFiles all call it. Returns
+// InvalidArgument naming the bad size.
+Status ValidatePoolSizes(int num_workers, int io_threads);
 
 }  // namespace alphasort
 

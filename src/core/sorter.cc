@@ -112,8 +112,11 @@ void SortJob::OnDone(std::function<void()> fn) {
 
 Sorter::Sorter(Env* env, const Resources& resources)
     : env_(env),
-      aio_(resources.io_threads),
-      pool_(resources.num_workers, resources.use_affinity) {}
+      pool_status_(
+          ValidatePoolSizes(resources.num_workers, resources.io_threads)),
+      pool_(resources.num_workers, resources.use_affinity) {
+  if (pool_status_.ok()) aio_.emplace(resources.io_threads);
+}
 
 Sorter::~Sorter() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -152,7 +155,8 @@ SortJob Sorter::Start(const SortOptions& options,
     std::lock_guard<std::mutex> lock(mu_);
     core->id = next_id_++;
   }
-  if (Status v = options.Validate(); !v.ok()) {
+  if (Status v = pool_status_.ok() ? options.Validate() : pool_status_;
+      !v.ok()) {
     core->Finish(std::move(v));
     return SortJob(core);
   }
@@ -165,7 +169,7 @@ SortJob Sorter::Start(const SortOptions& options,
   Running running;
   running.core = core;
   running.thread = std::thread([this, core] {
-    core->Finish(core_internal::ExecuteJob(env_, core.get(), &aio_, &pool_));
+    core->Finish(core_internal::ExecuteJob(env_, core.get(), &*aio_, &pool_));
   });
   jobs_.push_back(std::move(running));
   return SortJob(core);

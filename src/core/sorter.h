@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -191,10 +192,10 @@ class Sorter {
   Sorter(const Sorter&) = delete;
   Sorter& operator=(const Sorter&) = delete;
 
-  // Validates `options` and starts the sort. Never blocks on the sort
-  // itself; validation failures return an already-done job carrying the
-  // InvalidArgument status. options.time_limit_s (if set) starts
-  // counting here.
+  // Validates the Resources' pool sizes and `options`, and starts the
+  // sort. Never blocks on the sort itself; validation failures return an
+  // already-done job carrying the InvalidArgument status.
+  // options.time_limit_s (if set) starts counting here.
   SortJob Start(const SortOptions& options);
 
   // Internal-facing overload: runs `body` as the job's pass structure in
@@ -217,7 +218,10 @@ class Sorter {
   void ReapFinishedLocked();
 
   Env* env_;
-  AsyncIO aio_;
+  // ValidatePoolSizes of the Resources; when it fails, every Start()
+  // returns an already-done job carrying it, and no AsyncIO is built.
+  const Status pool_status_;
+  std::optional<AsyncIO> aio_;
   ChorePool pool_;
   std::mutex mu_;
   std::vector<Running> jobs_;

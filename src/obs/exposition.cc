@@ -358,40 +358,30 @@ std::string RenderFlightRecord() {
   return out;
 }
 
-Status ValidateFlightRecorderJsonl(const std::string& content) {
-  size_t line_no = 0;
-  size_t pos = 0;
+Status ValidateFlightRecorderJsonl(
+    const std::string& content,
+    const std::function<void(const JsonValue& record)>& on_record) {
   size_t parsed = 0;
-  while (pos <= content.size()) {
-    const size_t eol = content.find('\n', pos);
-    const std::string line =
-        content.substr(pos, eol == std::string::npos ? std::string::npos
-                                                     : eol - pos);
-    pos = eol == std::string::npos ? content.size() + 1 : eol + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue root;
-    if (Status s = ParseJson(line, &root); !s.ok()) {
-      return Status::Corruption(StrFormat(
-          "flight record line %zu does not parse: %s", line_no,
-          s.message().c_str()));
-    }
-    if (!root.IsObject()) {
-      return Status::Corruption(
-          StrFormat("flight record line %zu is not an object", line_no));
-    }
-    const JsonValue* ts = root.Find("ts_ms");
-    if (ts == nullptr || !ts->IsNumber()) {
-      return Status::Corruption(StrFormat(
-          "flight record line %zu missing numeric \"ts_ms\"", line_no));
-    }
-    const JsonValue* jobs = root.Find("jobs");
-    if (jobs == nullptr || !jobs->IsArray()) {
-      return Status::Corruption(StrFormat(
-          "flight record line %zu missing \"jobs\" array", line_no));
-    }
-    ++parsed;
-  }
+  ALPHASORT_RETURN_IF_ERROR(ForEachJsonLine(
+      content, [&](size_t line_no, const JsonValue& root) -> Status {
+        if (!root.IsObject()) {
+          return Status::Corruption(StrFormat(
+              "flight record line %zu is not an object", line_no));
+        }
+        const JsonValue* ts = root.Find("ts_ms");
+        if (ts == nullptr || !ts->IsNumber()) {
+          return Status::Corruption(StrFormat(
+              "flight record line %zu missing numeric \"ts_ms\"", line_no));
+        }
+        const JsonValue* jobs = root.Find("jobs");
+        if (jobs == nullptr || !jobs->IsArray()) {
+          return Status::Corruption(StrFormat(
+              "flight record line %zu missing \"jobs\" array", line_no));
+        }
+        ++parsed;
+        if (on_record) on_record(root);
+        return Status::OK();
+      }));
   if (parsed == 0) {
     return Status::Corruption("flight recorder capture is empty");
   }

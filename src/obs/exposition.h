@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -15,6 +16,8 @@
 
 namespace alphasort {
 namespace obs {
+
+struct JsonValue;
 
 // Point-in-time text exposition of the whole observability surface —
 // every registry counter, gauge, and histogram plus per-job live
@@ -57,9 +60,12 @@ Status ValidateExpositionText(const std::string& text);
 std::string RenderFlightRecord();
 
 // Validates a flight-recorder capture: every non-empty line parses as a
-// JSON object with numeric "ts_ms" and a "jobs" array. Used by
-// expo_lint --flight.
-Status ValidateFlightRecorderJsonl(const std::string& content);
+// JSON object with numeric "ts_ms" and a "jobs" array. `on_record`, when
+// set, sees each valid line's parsed object, so expo_lint --flight
+// replays the capture from the same single parse.
+Status ValidateFlightRecorderJsonl(
+    const std::string& content,
+    const std::function<void(const JsonValue& record)>& on_record = nullptr);
 
 // Periodically appends RenderFlightRecord() lines to a bounded JSONL
 // file so a crashed or wedged sort leaves a timeline: the last record

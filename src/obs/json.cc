@@ -110,27 +110,35 @@ class Parser {
     return Status::OK();
   }
 
+  // Skips a run of digits; returns how many.
+  size_t SkipDigits() {
+    const char* start = p_;
+    while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
+    return static_cast<size_t>(p_ - start);
+  }
+
+  // number = [ "-" ] ( "0" / digit1-9 *DIGIT ) [ "." 1*DIGIT ]
+  //          [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ]
   Status ParseNumber(JsonValue* out) {
     SkipSpace();
     const char* start = p_;
     if (p_ < end_ && *p_ == '-') ++p_;
-    const char* int_start = p_;
-    while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
-    // JSON forbids leading zeros ("01"); a lone "0" is fine.
-    if (p_ - int_start > 1 && *int_start == '0') {
-      return Fail("number has a leading zero");
+    if (p_ < end_ && *p_ == '0') {
+      ++p_;
+      if (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) {
+        return Fail("number has a leading zero");
+      }
+    } else if (SkipDigits() == 0) {
+      return Fail("malformed number");
     }
     if (p_ < end_ && *p_ == '.') {
       ++p_;
-      while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
+      if (SkipDigits() == 0) return Fail("number has no digit after '.'");
     }
     if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
       ++p_;
       if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-      while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
-    }
-    if (p_ == start || (p_ == start + 1 && *start == '-')) {
-      return Fail("malformed number");
+      if (SkipDigits() == 0) return Fail("number has an empty exponent");
     }
     out->type = JsonValue::Type::kNumber;
     out->number_value = strtod(std::string(start, p_).c_str(), nullptr);
@@ -200,7 +208,30 @@ Status ParseJson(const std::string& text, JsonValue* out) {
   return Parser(text).Parse(out);
 }
 
-void AppendJsonEscaped(const std::string& s, std::string* out) {
+Status ForEachJsonLine(
+    const std::string& content,
+    const std::function<Status(size_t line_no, const JsonValue& value)>&
+        visit) {
+  size_t line_no = 0;
+  size_t pos = 0;
+  while (pos < content.size()) {
+    size_t eol = content.find('\n', pos);
+    if (eol == std::string::npos) eol = content.size();
+    const std::string line = content.substr(pos, eol - pos);
+    pos = eol + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    JsonValue value;
+    if (Status s = ParseJson(line, &value); !s.ok()) {
+      return Status::Corruption(StrFormat("line %zu does not parse: %s",
+                                          line_no, s.message().c_str()));
+    }
+    ALPHASORT_RETURN_IF_ERROR(visit(line_no, value));
+  }
+  return Status::OK();
+}
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
   for (const char c : s) {
     if (c == '"' || c == '\\') {
       out->push_back('\\');

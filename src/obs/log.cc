@@ -285,52 +285,41 @@ LogMessage& LogMessage::Bool(const char* key, bool value) {
   return *this;
 }
 
-Status ValidateLogJsonl(const std::string& content) {
-  size_t line_no = 0;
-  size_t pos = 0;
+Status ValidateLogJsonl(
+    const std::string& content,
+    const std::function<void(const JsonValue& event)>& on_event) {
   size_t parsed = 0;
-  while (pos <= content.size()) {
-    const size_t eol = content.find('\n', pos);
-    const std::string line =
-        content.substr(pos, eol == std::string::npos ? std::string::npos
-                                                     : eol - pos);
-    pos = eol == std::string::npos ? content.size() + 1 : eol + 1;
-    ++line_no;
-    if (line.empty()) continue;
-
-    JsonValue root;
-    if (Status s = ParseJson(line, &root); !s.ok()) {
-      return Status::Corruption(StrFormat(
-          "log line %zu does not parse as JSON: %s", line_no,
-          s.message().c_str()));
-    }
-    if (!root.IsObject()) {
-      return Status::Corruption(
-          StrFormat("log line %zu is not a JSON object", line_no));
-    }
-    const JsonValue* ts = root.Find("ts_us");
-    if (ts == nullptr || !ts->IsNumber()) {
-      return Status::Corruption(
-          StrFormat("log line %zu missing numeric \"ts_us\"", line_no));
-    }
-    const JsonValue* level = root.Find("level");
-    if (level == nullptr || !level->IsString()) {
-      return Status::Corruption(
-          StrFormat("log line %zu missing string \"level\"", line_no));
-    }
-    const std::string& lv = level->string_value;
-    if (lv != "debug" && lv != "info" && lv != "warn" && lv != "error") {
-      return Status::Corruption(StrFormat(
-          "log line %zu has unknown level \"%s\"", line_no, lv.c_str()));
-    }
-    const JsonValue* event = root.Find("event");
-    if (event == nullptr || !event->IsString() ||
-        event->string_value.empty()) {
-      return Status::Corruption(
-          StrFormat("log line %zu missing string \"event\"", line_no));
-    }
-    ++parsed;
-  }
+  ALPHASORT_RETURN_IF_ERROR(ForEachJsonLine(
+      content, [&](size_t line_no, const JsonValue& root) -> Status {
+        if (!root.IsObject()) {
+          return Status::Corruption(
+              StrFormat("log line %zu is not a JSON object", line_no));
+        }
+        const JsonValue* ts = root.Find("ts_us");
+        if (ts == nullptr || !ts->IsNumber()) {
+          return Status::Corruption(
+              StrFormat("log line %zu missing numeric \"ts_us\"", line_no));
+        }
+        const JsonValue* level = root.Find("level");
+        if (level == nullptr || !level->IsString()) {
+          return Status::Corruption(
+              StrFormat("log line %zu missing string \"level\"", line_no));
+        }
+        const std::string& lv = level->string_value;
+        if (lv != "debug" && lv != "info" && lv != "warn" && lv != "error") {
+          return Status::Corruption(StrFormat(
+              "log line %zu has unknown level \"%s\"", line_no, lv.c_str()));
+        }
+        const JsonValue* event = root.Find("event");
+        if (event == nullptr || !event->IsString() ||
+            event->string_value.empty()) {
+          return Status::Corruption(
+              StrFormat("log line %zu missing string \"event\"", line_no));
+        }
+        ++parsed;
+        if (on_event) on_event(root);
+        return Status::OK();
+      }));
   if (parsed == 0) {
     return Status::Corruption("log capture contains no events");
   }

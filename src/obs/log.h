@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 
 namespace alphasort {
 namespace obs {
+
+struct JsonValue;
 
 // Leveled, structured key-value event log for the sort pipeline and the
 // service on top of it.
@@ -281,8 +284,12 @@ inline LogAdmitToken AdmitAtSite(LogRateLimiter& limiter) {
 
 // Validates JSONL log capture: every non-empty line must parse as a JSON
 // object carrying numeric "ts_us", string "level" (a known level name),
-// and string "event". Used by log_lint and the tests.
-Status ValidateLogJsonl(const std::string& content);
+// and string "event". `on_event`, when set, sees each valid line's
+// parsed object, so a caller that reads the events (log_lint) parses the
+// capture once. Used by log_lint and the tests.
+Status ValidateLogJsonl(
+    const std::string& content,
+    const std::function<void(const JsonValue& event)>& on_event = nullptr);
 
 }  // namespace obs
 }  // namespace alphasort

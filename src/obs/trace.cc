@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/table.h"
+#include "obs/json.h"
 
 namespace alphasort {
 namespace obs {
@@ -146,24 +146,6 @@ uint64_t TraceRecorder::dropped() const {
   return total > ring_.size() ? total - ring_.size() : 0;
 }
 
-namespace {
-
-void AppendEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-}  // namespace
-
 std::string TraceRecorder::ToChromeJson() const {
   std::vector<TraceEvent> events;
   const size_t n = size();
@@ -182,9 +164,9 @@ std::string TraceRecorder::ToChromeJson() const {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"";
-    AppendEscaped(ev.name, &out);
+    AppendJsonEscaped(ev.name, &out);
     out += "\",\"cat\":\"";
-    AppendEscaped(ev.category == nullptr ? "" : ev.category, &out);
+    AppendJsonEscaped(ev.category == nullptr ? "" : ev.category, &out);
     out += "\",";
     // Job and trace ids attribute events from concurrent jobs (and, via
     // the wire, from other processes) sharing one ring; 0 (no ambient
@@ -239,215 +221,28 @@ std::string TraceRecorder::ToChromeJson() const {
   return out;
 }
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON checker for trace files. Validates the
-// grammar and, for trace-event objects, the required fields. It never
-// builds a DOM: event objects are checked as their keys stream past.
-
-namespace {
-
-class TraceJsonChecker {
- public:
-  explicit TraceJsonChecker(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
-
-  Status Check() {
-    SkipSpace();
-    if (p_ < end_ && *p_ == '[') {
-      // Bare event-array form.
-      ALPHASORT_RETURN_IF_ERROR(ParseEventArray());
-    } else {
-      ALPHASORT_RETURN_IF_ERROR(ParseTopObject());
+Status ValidateChromeTraceJson(const std::string& json, JsonValue* doc) {
+  JsonValue local;
+  if (doc == nullptr) doc = &local;
+  ALPHASORT_RETURN_IF_ERROR(ParseJson(json, doc));
+  const JsonValue* events = doc->IsArray() ? doc : doc->Find("traceEvents");
+  if (events == nullptr || !events->IsArray()) {
+    return Status::Corruption("trace JSON has no traceEvents array");
+  }
+  for (size_t i = 0; i < events->items.size(); ++i) {
+    const JsonValue& ev = events->items[i];
+    if (!ev.IsObject()) {
+      return Status::Corruption(
+          StrFormat("trace event %zu is not an object", i));
     }
-    SkipSpace();
-    if (p_ != end_) return Fail("trailing characters after JSON value");
-    if (!saw_events_) return Fail("no traceEvents array found");
-    return Status::OK();
-  }
-
- private:
-  Status Fail(const std::string& why) const {
-    return Status::Corruption(StrFormat(
-        "trace JSON invalid at byte %zu: %s",
-        static_cast<size_t>(p_ - begin_), why.c_str()));
-  }
-
-  void SkipSpace() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                         *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (p_ < end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(char c) {
-    if (!Consume(c)) return Fail(StrFormat("expected '%c'", c));
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (p_ >= end_ || *p_ != '"') return Fail("expected string");
-    ++p_;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ >= end_) return Fail("unterminated escape");
-        const char esc = *p_;
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p_;
-            if (p_ >= end_ || !isxdigit(static_cast<unsigned char>(*p_))) {
-              return Fail("bad \\u escape");
-            }
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return Fail("bad escape character");
-        }
-        ++p_;
-      } else {
-        if (out != nullptr) out->push_back(*p_);
-        ++p_;
-      }
-    }
-    if (p_ >= end_) return Fail("unterminated string");
-    ++p_;  // closing quote
-    return Status::OK();
-  }
-
-  Status ParseNumber() {
-    SkipSpace();
-    const char* start = p_;
-    if (p_ < end_ && *p_ == '-') ++p_;
-    while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
-    if (p_ < end_ && *p_ == '.') {
-      ++p_;
-      while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
-    }
-    if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-      if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-      while (p_ < end_ && isdigit(static_cast<unsigned char>(*p_))) ++p_;
-    }
-    if (p_ == start || (p_ == start + 1 && *start == '-')) {
-      return Fail("malformed number");
-    }
-    return Status::OK();
-  }
-
-  Status ParseValue() {
-    SkipSpace();
-    if (p_ >= end_) return Fail("unexpected end of input");
-    switch (*p_) {
-      case '{':
-        return ParseObject(nullptr);
-      case '[':
-        return ParseArray();
-      case '"':
-        return ParseString(nullptr);
-      case 't':
-        return ConsumeWord("true");
-      case 'f':
-        return ConsumeWord("false");
-      case 'n':
-        return ConsumeWord("null");
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Status ConsumeWord(const char* word) {
-    for (const char* w = word; *w != '\0'; ++w, ++p_) {
-      if (p_ >= end_ || *p_ != *w) return Fail("malformed literal");
-    }
-    return Status::OK();
-  }
-
-  // Parses an object; when `keys` is non-null, collects its top-level
-  // key names.
-  Status ParseObject(std::vector<std::string>* keys) {
-    ALPHASORT_RETURN_IF_ERROR(Expect('{'));
-    if (Consume('}')) return Status::OK();
-    do {
-      std::string key;
-      ALPHASORT_RETURN_IF_ERROR(ParseString(&key));
-      ALPHASORT_RETURN_IF_ERROR(Expect(':'));
-      ALPHASORT_RETURN_IF_ERROR(ParseValue());
-      if (keys != nullptr) keys->push_back(std::move(key));
-    } while (Consume(','));
-    return Expect('}');
-  }
-
-  Status ParseArray() {
-    ALPHASORT_RETURN_IF_ERROR(Expect('['));
-    if (Consume(']')) return Status::OK();
-    do {
-      ALPHASORT_RETURN_IF_ERROR(ParseValue());
-    } while (Consume(','));
-    return Expect(']');
-  }
-
-  // One element of the traceEvents array: an object with the fields the
-  // Chrome trace viewer requires.
-  Status ParseEvent() {
-    std::vector<std::string> keys;
-    ALPHASORT_RETURN_IF_ERROR(ParseObject(&keys));
-    auto has = [&keys](const char* k) {
-      return std::find(keys.begin(), keys.end(), k) != keys.end();
-    };
     for (const char* required : {"name", "ph", "ts", "pid", "tid"}) {
-      if (!has(required)) {
-        return Fail(StrFormat("trace event missing \"%s\"", required));
+      if (ev.Find(required) == nullptr) {
+        return Status::Corruption(
+            StrFormat("trace event %zu missing \"%s\"", i, required));
       }
     }
-    return Status::OK();
   }
-
-  Status ParseEventArray() {
-    saw_events_ = true;
-    ALPHASORT_RETURN_IF_ERROR(Expect('['));
-    if (Consume(']')) return Status::OK();
-    do {
-      ALPHASORT_RETURN_IF_ERROR(ParseEvent());
-    } while (Consume(','));
-    return Expect(']');
-  }
-
-  Status ParseTopObject() {
-    ALPHASORT_RETURN_IF_ERROR(Expect('{'));
-    if (Consume('}')) return Status::OK();
-    do {
-      std::string key;
-      ALPHASORT_RETURN_IF_ERROR(ParseString(&key));
-      ALPHASORT_RETURN_IF_ERROR(Expect(':'));
-      if (key == "traceEvents") {
-        ALPHASORT_RETURN_IF_ERROR(ParseEventArray());
-      } else {
-        ALPHASORT_RETURN_IF_ERROR(ParseValue());
-      }
-    } while (Consume(','));
-    return Expect('}');
-  }
-
-  const char* p_;
-  const char* const end_;
-  const char* const begin_ = p_;
-  bool saw_events_ = false;
-};
-
-}  // namespace
-
-Status ValidateChromeTraceJson(const std::string& json) {
-  return TraceJsonChecker(json).Check();
+  return Status::OK();
 }
 
 }  // namespace obs

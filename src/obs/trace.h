@@ -12,6 +12,8 @@
 namespace alphasort {
 namespace obs {
 
+struct JsonValue;
+
 // Span-based trace recorder exporting Chrome trace-event JSON.
 //
 // The pipeline's whole argument (paper §7) is overlap: striped reads
@@ -209,11 +211,16 @@ inline void TraceClockSync(const char* name, uint64_t remote_raw_us) {
   }
 }
 
-// Checks that `json` is syntactically valid JSON and structurally a
-// Chrome trace: a {"traceEvents": [...]} object (or a bare array) whose
-// elements carry the required "name"/"ph"/"ts"/"pid"/"tid" fields. Used
-// by the tests and the trace_lint tool; not a general-purpose parser.
-Status ValidateChromeTraceJson(const std::string& json);
+// Checks that `json` is a Chrome trace. It parses `json` once with
+// ParseJson, then checks the shape: either a bare event array or an
+// object whose "traceEvents" member is an array, where every event is an
+// object carrying "name", "ph", "ts", "pid" and "tid". When `doc` is not
+// null it receives the parsed document, so a caller that goes on to read
+// the events (trace_lint, trace_merge) does not parse the bytes again.
+// A trace nesting deeper than ParseJson's 32-level cap is rejected; the
+// recorder's events nest 3 levels deep.
+Status ValidateChromeTraceJson(const std::string& json,
+                               JsonValue* doc = nullptr);
 
 }  // namespace obs
 }  // namespace alphasort

@@ -2,72 +2,6 @@
 
 namespace alphasort {
 
-namespace {
-
-// Compact-entry mirror of radix_internal::RadixRangePrefix: 4
-// discriminating prefix bytes, introsort finish via
-// SortCompactEntryArray (no tracer — CompactOps has none).
-void RadixRangeCompact(const RecordFormat& fmt, const char* base,
-                       CompactEntry* a, size_t n, int depth,
-                       CompactEntry* scratch, SortStats* stats,
-                       RadixStats* rs) {
-  const int max_depth = fmt.key_size < 4 ? static_cast<int>(fmt.key_size) : 4;
-  while (true) {
-    if (n <= radix_internal::kBucketBudget || depth >= max_depth) {
-      ++rs->buckets_sorted;
-      SortCompactEntryArray(fmt, base, a, n, stats);
-      return;
-    }
-
-    const int shift = 24 - 8 * depth;
-    std::array<size_t, 257> offsets{};
-    const uint32_t first = a[0].prefix;
-    bool all_same_prefix = true;
-    for (size_t i = 0; i < n; ++i) {
-      ++offsets[((a[i].prefix >> shift) & 0xFF) + 1];
-      all_same_prefix &= a[i].prefix == first;
-    }
-    if (all_same_prefix) {
-      ++rs->tie_shortcuts;
-      ++rs->buckets_sorted;
-      SortCompactEntryArray(fmt, base, a, n, stats);
-      return;
-    }
-    if (offsets[((first >> shift) & 0xFF) + 1] == n) {
-      ++depth;
-      continue;
-    }
-
-    ++rs->partition_passes;
-    for (size_t b = 0; b < 256; ++b) offsets[b + 1] += offsets[b];
-    {
-      std::array<size_t, 256> cursor{};
-      memcpy(cursor.data(), offsets.data(), sizeof(cursor));
-      for (size_t i = 0; i < n; ++i) {
-        scratch[cursor[(a[i].prefix >> shift) & 0xFF]++] = a[i];
-        ++stats->exchanges;
-        stats->bytes_moved += sizeof(CompactEntry);
-      }
-    }
-    memcpy(a, scratch, n * sizeof(CompactEntry));
-
-    for (size_t b = 0; b < 256; ++b) {
-      const size_t lo = offsets[b];
-      const size_t len = offsets[b + 1] - lo;
-      if (len < 2) {
-        if (len == 1) ++rs->buckets_sorted;
-        continue;
-      }
-      if (len > radix_internal::kBucketBudget) ++rs->buckets_recursed;
-      RadixRangeCompact(fmt, base, a + lo, len, depth + 1, scratch + lo,
-                        stats, rs);
-    }
-    return;
-  }
-}
-
-}  // namespace
-
 void RadixSortPrefixEntryArray(const RecordFormat& format,
                                PrefixEntry* entries, size_t n,
                                SortStats* stats, RadixStats* radix_stats) {
@@ -86,24 +20,6 @@ void SortPrefixEntryArrayWithKernel(const RecordFormat& format,
   NullTracer tracer;
   SortPrefixEntriesWithKernel(format, entries, n, kernel, stats, &tracer,
                               radix_stats);
-}
-
-void RadixSortCompactEntryArray(const RecordFormat& format, const char* base,
-                                CompactEntry* entries, size_t n,
-                                SortStats* stats, RadixStats* radix_stats) {
-  SortStats local;
-  if (stats == nullptr) stats = &local;
-  RadixStats local_rs;
-  if (radix_stats == nullptr) radix_stats = &local_rs;
-  if (n < 2) return;
-  if (n <= radix_internal::kBucketBudget) {
-    ++radix_stats->buckets_sorted;
-    SortCompactEntryArray(format, base, entries, n, stats);
-    return;
-  }
-  std::vector<CompactEntry> scratch(n);
-  RadixRangeCompact(format, base, entries, n, /*depth=*/0, scratch.data(),
-                    stats, radix_stats);
 }
 
 }  // namespace alphasort

@@ -9,7 +9,6 @@
 
 #include "common/tracer.h"
 #include "record/record.h"
-#include "sort/compact_entry.h"
 #include "sort/entry.h"
 #include "sort/quicksort.h"
 #include "sort/sort_kernel.h"
@@ -187,14 +186,6 @@ void SortPrefixEntryArrayWithKernel(const RecordFormat& format,
                                     SortKernel kernel,
                                     SortStats* stats = nullptr,
                                     RadixStats* radix_stats = nullptr);
-
-// The paper's 8-byte (prefix32, index) entries get the same hybrid: 4
-// discriminating prefix bytes, buckets finished by SortCompactEntryArray
-// (which owns the compact tie-break path).
-void RadixSortCompactEntryArray(const RecordFormat& format, const char* base,
-                                CompactEntry* entries, size_t n,
-                                SortStats* stats = nullptr,
-                                RadixStats* radix_stats = nullptr);
 
 }  // namespace alphasort
 

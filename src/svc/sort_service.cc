@@ -71,8 +71,10 @@ std::string JobScratchDir(const std::string& scratch_path, uint64_t id) {
 SortService::SortService(Env* env, const SortServiceOptions& options)
     : env_(env),
       options_(options),
-      aio_(std::max(1, options.io_threads)),
-      pool_(std::max(0, options.num_workers), options.use_affinity) {
+      pool_status_(
+          ValidatePoolSizes(options.num_workers, options.io_threads)),
+      pool_(options.num_workers, options.use_affinity) {
+  if (pool_status_.ok()) aio_.emplace(options.io_threads);
   const int runners = std::max(1, options_.max_running);
   runners_.reserve(runners);
   for (int i = 0; i < runners; ++i) {
@@ -94,6 +96,7 @@ void SortService::Shutdown() {
 }
 
 Result<SortJob> SortService::Submit(const SortOptions& options) {
+  ALPHASORT_RETURN_IF_ERROR(pool_status_);
   ALPHASORT_RETURN_IF_ERROR(options.Validate());
 
   // Admission-side log events (svc.reject, svc.down_negotiate,
@@ -284,7 +287,7 @@ Status SortService::RunAdmitted(core_internal::JobCore* core) {
   const std::string dir = core->options.scratch_path.substr(
       0, core->options.scratch_path.size() - std::string("/scratch").size());
   ALPHASORT_RETURN_IF_ERROR(env_->CreateDir(dir));
-  Status s = core_internal::ExecuteJob(env_, core, &aio_, &pool_);
+  Status s = core_internal::ExecuteJob(env_, core, &*aio_, &pool_);
   // Best-effort namespace removal. The job's sweeper already removed its
   // spills; a non-empty directory (foreign files) is left alone.
   env_->RemoveDir(dir);

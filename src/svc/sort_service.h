@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +63,9 @@ struct SortServiceOptions {
 
   // Shared ChorePool workers and AsyncIO threads, as in
   // Sorter::Resources. Per-job num_workers/io_threads in SortOptions are
-  // ignored under a service — the pools are shared.
+  // ignored under a service — the pools are shared. Sizes that fail
+  // ValidatePoolSizes (io_threads < 1, num_workers < 0) are not clamped:
+  // every Submit() returns their InvalidArgument.
   int num_workers = 0;
   int io_threads = 4;
   bool use_affinity = false;
@@ -95,9 +98,10 @@ class SortService {
   SortService& operator=(const SortService&) = delete;
 
   // Validates and enqueues one sort job. Errors:
-  //  * InvalidArgument — options fail SortOptions::Validate(), either as
-  //    given or after down-negotiation (io_chunk_bytes too large for the
-  //    service budget).
+  //  * InvalidArgument — the service's pool sizes fail ValidatePoolSizes,
+  //    or options fail SortOptions::Validate(), either as given or after
+  //    down-negotiation (io_chunk_bytes too large for the service
+  //    budget).
   //  * Unavailable — max_queued jobs already waiting, or Shutdown() has
   //    been called. The caller should back off and retry.
   // On success the returned job is queued; its time_limit_s (if any)
@@ -126,7 +130,9 @@ class SortService {
 
   Env* const env_;
   const SortServiceOptions options_;
-  AsyncIO aio_;
+  // ValidatePoolSizes of the options; no AsyncIO is built when it fails.
+  const Status pool_status_;
+  std::optional<AsyncIO> aio_;
   ChorePool pool_;
 
   mutable std::mutex mu_;

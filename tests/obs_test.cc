@@ -437,6 +437,18 @@ TEST(TraceJsonValidatorTest, RejectsEventsMissingRequiredFields) {
   }
 }
 
+// Numbers follow the JSON grammar: a browser's JSON.parse rejects a
+// trace with "ts":.5 or "ts":01, so the validator must too.
+TEST(TraceJsonValidatorTest, RejectsNumbersJsonForbids) {
+  for (const char* ts : {".5", "01"}) {
+    const std::string trace =
+        std::string("{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\","
+                    "\"ts\":") +
+        ts + ",\"pid\":1,\"tid\":0}]}";
+    EXPECT_FALSE(ValidateChromeTraceJson(trace).ok()) << trace;
+  }
+}
+
 TEST(ThreadIdTest, DenseAndStable) {
   const int mine = CurrentThreadId();
   EXPECT_EQ(CurrentThreadId(), mine);  // stable within a thread

@@ -80,31 +80,6 @@ TEST_P(RadixSweep, PrefixEntriesMatchIntrosortExactly) {
   }
 }
 
-TEST_P(RadixSweep, CompactEntriesMatchIntrosortExactly) {
-  const RecordFormat fmt = kDatamationFormat;
-  const KeyDistribution dist = GetParam();
-  for (uint64_t n : SweepSizes()) {
-    std::vector<char> block =
-        MakeBlock(fmt, dist, n, 2000 + n + static_cast<uint64_t>(dist));
-    for (bool simd_on : {true, false}) {
-      simd::ScopedForceScalar force(!simd_on);
-      std::vector<CompactEntry> quick(n), radix(n);
-      BuildCompactEntryArray(fmt, block.data(), n, quick.data());
-      radix = quick;
-
-      SortCompactEntryArray(fmt, block.data(), quick.data(), n);
-      RadixStats shape;
-      RadixSortCompactEntryArray(fmt, block.data(), radix.data(), n, nullptr,
-                                 &shape);
-
-      ASSERT_EQ(
-          memcmp(quick.data(), radix.data(), n * sizeof(CompactEntry)), 0)
-          << test::DistributionName(dist) << " n=" << n
-          << " simd=" << simd_on;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, RadixSweep,
     ::testing::ValuesIn(test::AllDistributions()),

@@ -50,7 +50,8 @@ TEST(JsonParserTest, RejectsMalformed) {
   JsonValue v;
   for (const char* bad :
        {"", "{", "[1,]", "{\"a\":}", "{\"a\":1,}", "01", "{\"a\":1}x",
-        "'single'", "{\"a\" 1}", "[1 2]"}) {
+        "'single'", "{\"a\" 1}", "[1 2]", ".5", "1.", "1e", "-.5",
+        "1.e5"}) {
     EXPECT_FALSE(ParseJson(bad, &v).ok()) << "accepted: " << bad;
   }
 }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "benchlib/datamation.h"
@@ -388,6 +389,48 @@ TEST(SortServiceTest, SubmitValidatesOptions) {
   Result<SortJob> job = service.Submit(opts);
   ASSERT_FALSE(job.ok());
   EXPECT_TRUE(job.status().IsInvalidArgument()) << job.status().ToString();
+}
+
+// Pool sizes are checked, not clamped: a service built with no IO
+// threads or a negative worker count rejects every job with the
+// InvalidArgument ValidatePoolSizes names.
+TEST(SortServiceTest, SubmitRejectsBadPoolSizes) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  ASSERT_TRUE(MakeInput(mem.get(), 0, 1000).ok());
+  for (const auto& [workers, io_threads, want] :
+       {std::tuple{0, 0, "io_threads must be >= 1"},
+        std::tuple{-1, 4, "num_workers must be >= 0"}}) {
+    svc::SortServiceOptions sopts;
+    sopts.num_workers = workers;
+    sopts.io_threads = io_threads;
+    svc::SortService service(mem.get(), sopts);
+    Result<SortJob> job = service.Submit(JobOptions(0, 8 * kMB));
+    ASSERT_FALSE(job.ok()) << want;
+    EXPECT_TRUE(job.status().IsInvalidArgument()) << job.status().ToString();
+    EXPECT_NE(job.status().ToString().find(want), std::string::npos)
+        << job.status().ToString();
+  }
+}
+
+// The same check one layer down: a Sorter whose Resources have no IO
+// threads returns an already-done job instead of starting a sort whose
+// reads can never complete.
+TEST(SorterTest, StartRejectsBadPoolSizes) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  ASSERT_TRUE(MakeInput(mem.get(), 0, 1000).ok());
+  for (const auto& [workers, io_threads, want] :
+       {std::tuple{0, 0, "io_threads must be >= 1"},
+        std::tuple{-1, 4, "num_workers must be >= 0"}}) {
+    Sorter::Resources resources;
+    resources.num_workers = workers;
+    resources.io_threads = io_threads;
+    Sorter sorter(mem.get(), resources);
+    SortJob job = sorter.Start(JobOptions(0, 8 * kMB));
+    const SortResult& r = job.Wait();
+    EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    EXPECT_NE(r.status.ToString().find(want), std::string::npos)
+        << r.status.ToString();
+  }
 }
 
 TEST(SortServiceTest, SubmitAfterShutdownIsUnavailable) {
