@@ -5,7 +5,8 @@
 //   ./quickstart
 //
 // Three ways to hand the sort its input (docs/api.md):
-//   - input_path: sugar for a read-ahead file source (shown first)
+//   - input_path: sugar for a file source whose reads land straight in
+//     the record block (shown first)
 //   - options.source: any RecordSource factory (a generator, shown second)
 //   - a StreamRecordSource fed by another thread (the network server's
 //     spool-free ingest; see docs/service.md)

@@ -114,13 +114,14 @@ stage_sanitizers() {
   echo
   echo "=== sanitizers: TSan over the concurrency-heavy suites ==="
   # The suites where threads actually share state: the async IO
-  # scheduler, the chore pool + full pipeline, retries racing IO
-  # threads, the partitioned merge's concurrent range merges (whose
-  # two-pass ranges share run files and the AIO pool: the pipeline
-  # matrix's spill cells, and merge_files_test's merges of sorted files
-  # on workers), the fault campaign's storm of concurrent sorts, and the
-  # networked service's connection threads against the shared
-  # SortService.
+  # scheduler, the file source's chunk reads landing in a block while
+  # the reader checks the prefix below them, the chore pool + full
+  # pipeline, retries racing IO threads, the partitioned merge's
+  # concurrent range merges (whose two-pass ranges share run files and
+  # the AIO pool: the pipeline matrix's spill cells, and
+  # merge_files_test's merges of sorted files on workers), the fault
+  # campaign's storm of concurrent sorts, and the networked service's
+  # connection threads against the shared SortService.
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
@@ -129,9 +130,9 @@ stage_sanitizers() {
     async_io_test chores_test alphasort_test merge_partition_test \
     merge_files_test pipeline_matrix_test retry_env_test \
     fault_campaign_test obs_test throttled_env_test sort_service_test \
-    net_service_test
+    net_service_test record_source_test
   run_ctest build-tsan -R \
-    '^(async_io_test|chores_test|alphasort_test|merge_partition_test|merge_files_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
+    '^(async_io_test|record_source_test|chores_test|alphasort_test|merge_partition_test|merge_files_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
 }
 
 # --- stage: smokes ---------------------------------------------------

@@ -65,7 +65,9 @@ struct SortOptions {
   // IO request size for the triple-buffered read/write loops.
   size_t io_chunk_bytes = 1 << 20;
 
-  // Outstanding read requests ("triple buffering", §6).
+  // Input chunk reads in flight, each aimed at its own slice of the
+  // record block ("triple buffering", §6). An in-flight read cannot be
+  // recalled, so a cancel or deadline waits for up to this many.
   int io_depth = 3;
 
   // Output buffers cycling through the merge phase's gather→write

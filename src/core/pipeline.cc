@@ -434,31 +434,29 @@ Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
   if (ctx->size_known) {
     cap = std::min<uint64_t>(cap, ctx->input_bytes - ctx->bytes_read);
   }
-  uint64_t filled = 0;
-  bool ended = false;
-  while (filled < cap) {
-    // Cancellation/deadline poll, once per pull.
-    ALPHASORT_RETURN_IF_ERROR(CheckControl(ctx));
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(ctx->options->io_chunk_bytes, cap - filled));
-    size_t got = 0;
-    ALPHASORT_RETURN_IF_ERROR(ctx->source->Read(dst + filled, want, &got));
-    filled += got;
-    ctx->bytes_read += got;
-    ProgressRead(ctx, got);
-    if (on_pull) on_pull(filled / rec);
-    if (got < want) {
-      ended = true;
-      if (ctx->size_known) {
-        // The source promised TotalBytes and delivered fewer: the input
-        // was truncated (or a producer lied about its size).
-        return Status::Corruption(StrFormat(
-            "short read at offset %llu: wanted %zu got %zu",
-            static_cast<unsigned long long>(ctx->bytes_read - got), want,
-            got));
-      }
-      break;
-    }
+  // Cancellation/deadline poll before the read, then once per piece.
+  ALPHASORT_RETURN_IF_ERROR(CheckControl(ctx));
+  size_t reported = 0;
+  size_t filled = 0;
+  ALPHASORT_RETURN_IF_ERROR(ctx->source->ReadInto(
+      dst, cap, ctx->options->io_chunk_bytes,
+      [&](size_t ready) {
+        const size_t grown = ready - reported;
+        reported = ready;
+        ctx->bytes_read += grown;
+        ProgressRead(ctx, grown);
+        if (on_pull) on_pull(ready / rec);
+        return CheckControl(ctx);
+      },
+      &filled));
+  const bool ended = filled < cap;
+  if (ended && ctx->size_known) {
+    // The source promised TotalBytes and delivered fewer: the input was
+    // truncated (or a producer lied about its size).
+    return Status::Corruption(StrFormat(
+        "short read at offset %llu: wanted %llu got %zu",
+        static_cast<unsigned long long>(ctx->bytes_read - filled),
+        static_cast<unsigned long long>(cap), filled));
   }
   if (ended && filled % rec != 0) {
     return Status::Corruption(StrFormat(

@@ -223,13 +223,16 @@ Status PartitionedMerge(SortContext* ctx,
 // ctx->input_bytes / num_records / the progress plan at end of input.
 Status RunPasses(SortContext* ctx);
 
-// The pipeline's one read loop. Pulls up to `cap_records` records from
-// ctx->source into `dst` in io_chunk_bytes pieces, polling cancellation
-// once per pull and calling `on_pull(records_ready)` (may be empty) after
-// each. `*eof` reports the end of input: the known total reached, or a
-// stream's short read. A known-size source that ends early, or a stream
-// that ends mid-record, is Status::Corruption. On error, work dispatched
-// by `on_pull` may still reference `dst`; the caller drains it.
+// The pipeline's one read: a single RecordSource::ReadInto of up to
+// `cap_records` records into `dst` (io_chunk_bytes pieces; a file source
+// aims its chunk reads straight at `dst`). Each time the filled prefix
+// grows it advances ctx->bytes_read and the progress, calls
+// `on_pull(records_ready)` (may be empty), and polls cancellation, whose
+// non-OK status stops the read. `*eof` reports the end of input: the
+// known total reached, or a stream's short read. A known-size source that
+// ends early, or a stream that ends mid-record, is Status::Corruption. On
+// error, work dispatched by `on_pull` may still reference `dst`; the
+// caller drains it.
 Status ReadRecords(SortContext* ctx, char* dst, uint64_t cap_records,
                    const std::function<void(uint64_t)>& on_pull,
                    uint64_t* records, bool* eof);

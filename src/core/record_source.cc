@@ -13,6 +13,23 @@
 
 namespace alphasort {
 
+// --- RecordSource ----------------------------------------------------------
+
+Status RecordSource::ReadInto(char* dst, size_t n, size_t piece,
+                              const ReadyFn& on_ready, size_t* got) {
+  *got = 0;
+  piece = std::max<size_t>(1, piece);
+  while (*got < n) {
+    const size_t want = std::min(piece, n - *got);
+    size_t pulled = 0;
+    ALPHASORT_RETURN_IF_ERROR(Read(dst + *got, want, &pulled));
+    *got += pulled;
+    if (pulled > 0) ALPHASORT_RETURN_IF_ERROR(on_ready(*got));
+    if (pulled < want) break;  // end of input
+  }
+  return Status::OK();
+}
+
 // --- FileRecordSource ------------------------------------------------------
 
 FileRecordSource::FileRecordSource(std::string path, size_t chunk_bytes,
@@ -21,7 +38,7 @@ FileRecordSource::FileRecordSource(std::string path, size_t chunk_bytes,
       chunk_bytes_(std::max<size_t>(1, chunk_bytes)),
       depth_(std::max(1, depth)) {}
 
-FileRecordSource::~FileRecordSource() { DrainInFlight(); }
+FileRecordSource::~FileRecordSource() = default;
 
 Status FileRecordSource::Open(Env* env, AsyncIO* aio) {
   aio_ = aio;
@@ -32,86 +49,61 @@ Status FileRecordSource::Open(Env* env, AsyncIO* aio) {
   Result<uint64_t> size = file_->Size();
   ALPHASORT_RETURN_IF_ERROR(size.status());
   size_ = size.value();
-
-  // Arm the read-ahead ring: `depth_` chunk reads in flight at all times
-  // (the paper's triple buffering), refilled as Read() drains them.
-  ring_.resize(static_cast<size_t>(depth_));
-  for (auto& buf : ring_) buf.data.resize(chunk_bytes_);
-  for (auto& buf : ring_) SubmitNext(&buf);
-  head_ = 0;
   return Status::OK();
-}
-
-void FileRecordSource::SubmitNext(Buffer* buf) {
-  if (submit_offset_ >= size_ || aio_ == nullptr) return;
-  buf->offset = submit_offset_;
-  buf->len = static_cast<size_t>(
-      std::min<uint64_t>(chunk_bytes_, size_ - submit_offset_));
-  buf->avail = 0;
-  buf->consumed = 0;
-  buf->pending = aio_->SubmitRead(file_.get(), buf->offset, buf->len,
-                                  buf->data.data());
-  buf->in_flight = true;
-  submit_offset_ += buf->len;
-}
-
-void FileRecordSource::DrainInFlight() {
-  for (auto& buf : ring_) {
-    if (buf.in_flight) {
-      size_t got = 0;
-      aio_->Wait(buf.pending, &got);
-      buf.in_flight = false;
-    }
-  }
 }
 
 Status FileRecordSource::Read(char* dst, size_t n, size_t* got) {
+  return ReadInto(dst, n, chunk_bytes_,
+                  [](size_t) { return Status::OK(); }, got);
+}
+
+Status FileRecordSource::ReadInto(char* dst, size_t n, size_t /*piece*/,
+                                  const ReadyFn& on_ready, size_t* got) {
   *got = 0;
   if (file_ == nullptr) return Status::IOError("source is not open");
-  while (*got < n) {
-    if (ring_.empty()) break;
-    Buffer& buf = ring_[head_];
-    if (buf.in_flight) {
-      size_t bytes = 0;
-      Status s = aio_->Wait(buf.pending, &bytes);
-      buf.in_flight = false;
-      if (!s.ok()) return s;
-      if (bytes != buf.len) {
-        return Status::Corruption(StrFormat(
-            "short read at offset %llu: wanted %zu got %zu",
-            static_cast<unsigned long long>(buf.offset), buf.len, bytes));
-      }
-      buf.avail = bytes;
+  const uint64_t base = offset_;
+  const size_t total =
+      static_cast<size_t>(std::min<uint64_t>(n, size_ - offset_));
+  auto chunk_at = [&](size_t at) { return std::min(chunk_bytes_, total - at); };
+  // Reads of [*got, submitted), in file order; each lands at dst + its
+  // offset, so no byte is copied again.
+  std::deque<AsyncIO::Handle> in_flight;
+  size_t submitted = 0;
+  auto submit = [&] {
+    while (in_flight.size() < static_cast<size_t>(depth_) &&
+           submitted < total) {
+      const size_t len = chunk_at(submitted);
+      in_flight.push_back(aio_->SubmitRead(file_.get(), base + submitted,
+                                           len, dst + submitted));
+      submitted += len;
     }
-    if (buf.consumed == buf.avail) {
-      // Drained (or never filled — past EOF). Re-arm this slot at the
-      // submit frontier. Near end of file the frontier runs dry before
-      // the ring does, so a failed re-arm only means EOF once no other
-      // slot is in flight or holds unconsumed bytes.
-      SubmitNext(&buf);
-      if (!buf.in_flight) {
-        bool live = false;
-        for (const Buffer& b : ring_) {
-          if (b.in_flight || b.consumed < b.avail) {
-            live = true;
-            break;
-          }
-        }
-        if (!live) break;
-      }
-      head_ = (head_ + 1) % ring_.size();
-      continue;
+  };
+  submit();
+  Status s;
+  while (!in_flight.empty()) {
+    size_t bytes = 0;
+    Status done = aio_->Wait(in_flight.front(), &bytes);
+    in_flight.pop_front();
+    // After an error, only drain: the caller may free `dst` on return.
+    if (!s.ok()) continue;
+    const size_t len = chunk_at(*got);
+    if (!done.ok()) {
+      s = done;
+    } else if (bytes != len) {
+      s = Status::Corruption(StrFormat(
+          "short read at offset %llu: wanted %zu got %zu",
+          static_cast<unsigned long long>(base + *got), len, bytes));
+    } else {
+      *got += len;
+      s = on_ready(*got);
+      if (s.ok()) submit();
     }
-    const size_t take = std::min(n - *got, buf.avail - buf.consumed);
-    memcpy(dst + *got, buf.data.data() + buf.consumed, take);
-    buf.consumed += take;
-    *got += take;
   }
-  return Status::OK();
+  offset_ += *got;
+  return s;
 }
 
 Status FileRecordSource::Close() {
-  DrainInFlight();
   if (file_ == nullptr) return Status::OK();
   Status s = file_->Close();
   file_.reset();

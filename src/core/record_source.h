@@ -28,29 +28,36 @@ class StripeFile;  // io/stripe.h
 // an mmap of already-resident data, an in-memory buffer, a generator, or
 // a live network upload still in flight. The pipeline consumes every
 // source strictly sequentially, so implementations only have to answer
-// three questions:
+// four questions:
 //
 //   Read()            give me the next n bytes (block until you have them)
+//   ReadInto()        fill this block, telling me as its prefix fills
+//                     (the pipeline's read; default: Read() per piece)
 //   TotalBytes()      do you know how big you are? (planning: one pass
 //                     vs spill; unknown totals plan adaptively at EOF)
 //   ContiguousBytes() are you already resident in one buffer? (zero-copy
 //                     one-pass: entries point straight into the source)
 //
 // Contract:
-//   - Open() is called exactly once, before the first Read(), with the
+//   - Open() is called exactly once, before the first read, with the
 //     effective Env (metrics/retry wrapping applied) and the shared
 //     AsyncIO scheduler. Close() is called exactly once after the last
-//     Read(), success or failure.
+//     read, success or failure.
 //   - Read() blocks until exactly `n` bytes are delivered or the stream
 //     ends: `*got < n` happens only at end of input, and a later call
 //     returns *got == 0. Errors (IO failure, a producer's Fail()) return
 //     a non-OK status; the stream is then dead.
+//   - ReadInto() is Read() with progress: the same bytes, end-of-input
+//     rule and errors, plus an `on_ready(bytes_ready)` call each time the
+//     filled prefix of `dst` grows. A non-OK `on_ready` stops the read
+//     and is returned. However a ReadInto() returns, nothing writes to
+//     `dst` after it, so the caller may free it at once.
 //   - TotalBytes() must answer consistently for the source's lifetime;
 //     sources fed incrementally answer false even after their producer
 //     closes, because the planner asks exactly once, up front.
 //   - ContiguousBytes() returning non-null promises the buffer holds the
 //     entire input and stays valid and immutable until Close(). Callers
-//     that use it skip Read() entirely.
+//     that use it skip reading entirely.
 class RecordSource {
  public:
   virtual ~RecordSource() = default;
@@ -62,6 +69,12 @@ class RecordSource {
   }
 
   virtual Status Read(char* dst, size_t n, size_t* got) = 0;
+
+  // Fills up to `n` bytes of `dst`; see the contract above. The default
+  // pulls Read() in `piece`-byte pieces and reports each that delivered.
+  using ReadyFn = std::function<Status(size_t bytes_ready)>;
+  virtual Status ReadInto(char* dst, size_t n, size_t piece,
+                          const ReadyFn& on_ready, size_t* got);
 
   virtual Status Close() { return Status::OK(); }
 
@@ -88,10 +101,12 @@ class RecordSource {
 using RecordSourceFactory = std::function<std::shared_ptr<RecordSource>()>;
 
 // Plain or striped file (".str" suffix), read through the shared AsyncIO
-// scheduler with `depth` chunk reads in flight — the read/sort overlap of
-// the classic path, now inside the source. This is what `input_path`
-// sugar builds; output is byte-identical to the pre-RecordSource
-// pipeline.
+// scheduler. ReadInto() keeps `depth` reads of `chunk_bytes` in flight,
+// each aimed at its own slice of the caller's block (the paper's triple
+// buffering, with the block as the buffers), and reports each chunk as
+// it lands in order, so every input byte reaches memory once. Read() is
+// the same loop with nobody listening. No read is in flight between
+// calls. This is what `input_path` sugar builds.
 class FileRecordSource : public RecordSource {
  public:
   explicit FileRecordSource(std::string path, size_t chunk_bytes = 1 << 20,
@@ -100,33 +115,20 @@ class FileRecordSource : public RecordSource {
 
   Status Open(Env* env, AsyncIO* aio) override;
   Status Read(char* dst, size_t n, size_t* got) override;
+  Status ReadInto(char* dst, size_t n, size_t piece,
+                  const ReadyFn& on_ready, size_t* got) override;
   Status Close() override;
   bool TotalBytes(uint64_t* bytes) const override;
   const char* name() const override { return "file"; }
 
  private:
-  struct Buffer {
-    std::vector<char> data;
-    uint64_t offset = 0;
-    size_t len = 0;        // bytes requested
-    size_t avail = 0;      // bytes delivered by the completed read
-    size_t consumed = 0;   // bytes handed to Read() so far
-    AsyncIO::Handle pending = 0;
-    bool in_flight = false;
-  };
-
-  void SubmitNext(Buffer* buf);
-  void DrainInFlight();
-
   const std::string path_;
   const size_t chunk_bytes_;
   const int depth_;
   AsyncIO* aio_ = nullptr;
   std::unique_ptr<StripeFile> file_;
   uint64_t size_ = 0;
-  uint64_t submit_offset_ = 0;  // next byte offset to submit
-  std::vector<Buffer> ring_;
-  size_t head_ = 0;  // ring slot the next Read() consumes from
+  uint64_t offset_ = 0;  // next file byte to read
 };
 
 // An input already resident in memory. Borrows (data, len) — the caller

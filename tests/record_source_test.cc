@@ -3,8 +3,13 @@
 // Open once, strictly sequential Reads of arbitrary sizes, Close once.
 // File-backed sources must be byte-identical to reading the file
 // directly; the stream source additionally covers its producer side
-// (backpressure, mid-stream failure, consumer abandonment).
+// (backpressure, mid-stream failure, consumer abandonment). The block
+// read (ReadInto) is checked on its own: progress order, the bytes
+// behind each report, and that an error returns only once no read still
+// writes into the caller's block.
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -17,6 +22,7 @@
 #include "core/record_source.h"
 #include "io/async_io.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "io/stripe.h"
 
 namespace alphasort {
@@ -314,6 +320,190 @@ TEST_F(RecordSourceTest, StreamSourceOversizedChunkAccepted) {
   ASSERT_TRUE(Drain(&source, 64, &got).ok());
   producer.join();
   EXPECT_EQ(big, got);
+}
+
+// --- ReadInto: the block read with progress -----------------------------
+
+// Counts file reads started and finished, and holds each one a little
+// so several are in flight when the reader gives up.
+class CountingEnv : public Env {
+ public:
+  explicit CountingEnv(Env* base) : base_(base) {}
+
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+
+  Result<std::unique_ptr<File>> OpenFile(const std::string& path,
+                                         OpenMode mode) override;
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> GetFileSize(const std::string& path) override {
+    return base_->GetFileSize(path);
+  }
+
+ private:
+  Env* base_;
+};
+
+class CountingFile : public File {
+ public:
+  CountingFile(CountingEnv* env, std::unique_ptr<File> base)
+      : env_(env), base_(std::move(base)) {}
+
+  Status Read(uint64_t offset, size_t n, char* scratch,
+              size_t* bytes_read) override {
+    env_->started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Status s = base_->Read(offset, n, scratch, bytes_read);
+    env_->finished.fetch_add(1);
+    return s;
+  }
+  Status Write(uint64_t offset, const char* data, size_t n) override {
+    return base_->Write(offset, data, n);
+  }
+  Result<uint64_t> Size() override { return base_->Size(); }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Sync() override { return base_->Sync(); }
+  Status Close() override { return base_->Close(); }
+
+ private:
+  CountingEnv* env_;
+  std::unique_ptr<File> base_;
+};
+
+Result<std::unique_ptr<File>> CountingEnv::OpenFile(const std::string& path,
+                                                    OpenMode mode) {
+  Result<std::unique_ptr<File>> base = base_->OpenFile(path, mode);
+  ALPHASORT_RETURN_IF_ERROR(base.status());
+  return {std::unique_ptr<File>(
+      new CountingFile(this, std::move(base).value()))};
+}
+
+constexpr size_t kChunk = 4096;
+constexpr char kSentinel = '\x5a';
+
+TEST_F(RecordSourceTest, FileReadIntoReportsAGrowingPrefixOfFileBytes) {
+  const std::string expect = MakeBytes(10 * kChunk + 1234);
+  ASSERT_TRUE(env_->WriteStringToFile("in.dat", expect).ok());
+  FileRecordSource source("in.dat", kChunk, /*depth=*/3);
+  ASSERT_TRUE(source.Open(env_.get(), &aio_).ok());
+
+  std::vector<char> dst(expect.size() + kChunk, kSentinel);
+  std::vector<size_t> reports;
+  size_t got = 0;
+  Status s = source.ReadInto(
+      dst.data(), dst.size(), /*piece=*/1000,
+      [&](size_t ready) {
+        // Everything below `ready` has landed, and nothing past the file.
+        EXPECT_EQ(0, memcmp(dst.data(), expect.data(), ready));
+        reports.push_back(ready);
+        return Status::OK();
+      },
+      &got);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(expect.size(), got);
+  ASSERT_EQ(size_t{11}, reports.size()) << "one report per chunk";
+  for (size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_LT(reports[i - 1], reports[i]);
+  }
+  EXPECT_EQ(expect.size(), reports.back());
+  EXPECT_EQ(kSentinel, dst[expect.size()]) << "wrote past end of input";
+
+  size_t again = 0;
+  ASSERT_TRUE(source.Read(dst.data(), dst.size(), &again).ok());
+  EXPECT_EQ(size_t{0}, again) << "reads past EOF must stay at EOF";
+  EXPECT_TRUE(source.Close().ok());
+}
+
+TEST_F(RecordSourceTest, FileReadIntoStopsOnCallbackErrorAfterDraining) {
+  const std::string expect = MakeBytes(12 * kChunk);
+  ASSERT_TRUE(env_->WriteStringToFile("in.dat", expect).ok());
+  CountingEnv counting(env_.get());
+  AsyncIO aio(3);
+  FileRecordSource source("in.dat", kChunk, /*depth=*/3);
+  ASSERT_TRUE(source.Open(&counting, &aio).ok());
+
+  std::vector<char> dst(expect.size(), kSentinel);
+  int calls = 0;
+  size_t got = 0;
+  Status s = source.ReadInto(
+      dst.data(), dst.size(), kChunk,
+      [&](size_t) {
+        ++calls;
+        return Status::Aborted("stop at the first chunk");
+      },
+      &got);
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(1, calls);
+  EXPECT_EQ(kChunk, got);
+  // Every read that started has finished: nothing writes into dst now.
+  EXPECT_EQ(counting.started.load(), counting.finished.load());
+  EXPECT_LE(counting.started.load(), 3) << "no read submitted after the error";
+  EXPECT_EQ(0, memcmp(dst.data(), expect.data(), kChunk));
+  for (size_t i = 3 * kChunk; i < dst.size(); ++i) {
+    ASSERT_EQ(kSentinel, dst[i]) << "byte " << i << " past the last chunk";
+  }
+  EXPECT_TRUE(source.Close().ok());
+}
+
+TEST_F(RecordSourceTest, FileReadIntoShortReadIsCorruption) {
+  const std::string expect = MakeBytes(5 * kChunk);
+  ASSERT_TRUE(env_->WriteStringToFile("in.dat", expect).ok());
+  FaultInjectionEnv faulty(env_.get());
+  FaultPlan plan;
+  plan.defaults.short_read_prob = 1;
+  faulty.SetPlan(plan);
+  FileRecordSource source("in.dat", kChunk, /*depth=*/3);
+  ASSERT_TRUE(source.Open(&faulty, &aio_).ok());
+
+  std::vector<char> dst(expect.size());
+  size_t got = 0;
+  Status s = source.ReadInto(
+      dst.data(), dst.size(), kChunk,
+      [](size_t) { return Status::OK(); }, &got);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find("short read at offset"))
+      << s.ToString();
+  EXPECT_GT(faulty.short_reads_injected(), 0u);
+  EXPECT_TRUE(source.Close().ok());
+}
+
+TEST_F(RecordSourceTest, StreamReadIntoReportsOncePerPiece) {
+  const std::string expect = MakeBytes(10000);
+  StreamRecordSource source(/*capacity_bytes=*/4096);
+  std::thread producer([&] {
+    for (size_t off = 0; off < expect.size(); off += 1000) {
+      ASSERT_TRUE(source.Append(expect.data() + off, 1000));
+    }
+    source.CloseWrite();
+  });
+
+  ASSERT_TRUE(source.Open(env_.get(), &aio_).ok());
+  constexpr size_t kPiece = 777;
+  std::vector<char> dst(16384, kSentinel);
+  std::vector<size_t> reports;
+  size_t got = 0;
+  Status s = source.ReadInto(
+      dst.data(), dst.size(), kPiece,
+      [&](size_t ready) {
+        reports.push_back(ready);
+        return Status::OK();
+      },
+      &got);
+  producer.join();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(expect.size(), got) << "a short block means end of input";
+  EXPECT_EQ(expect, std::string(dst.data(), got));
+  ASSERT_EQ((expect.size() + kPiece - 1) / kPiece, reports.size());
+  for (size_t i = 0; i + 1 < reports.size(); ++i) {
+    EXPECT_EQ((i + 1) * kPiece, reports[i]);
+  }
+  EXPECT_EQ(expect.size(), reports.back());
+  EXPECT_TRUE(source.Close().ok());
 }
 
 }  // namespace
