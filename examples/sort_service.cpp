@@ -21,7 +21,8 @@
 // after submit. Exit is nonzero if any surviving job fails or produces
 // unsorted output, if the cancelled job does not end with a clean
 // Aborted status, if the peak of admitted bytes ever exceeded the
-// service budget, or if any scratch file leaks.
+// service budget, if any scratch file leaks, or if the final exposition
+// scrape does not show every completed job at phase done, fraction 1.
 
 #include <chrono>
 #include <cstdio>
@@ -276,10 +277,26 @@ int RunDriver(const DriverConfig& cfg) {
     ++failures;
   }
   flight.Stop();
-  // The final scrape: service counters settled, per-job svc.job.<id>.*
-  // gauges at their terminal values (permille 1000 for completed jobs).
-  if (!cfg.expo_path.empty() &&
-      !WriteTextFile(cfg.expo_path, obs::RenderExposition())) {
+  // The final scrape: service counters settled, and every completed job
+  // kept by the progress registry at phase done, fraction 1.
+  const std::string expo = obs::RenderExposition();
+  for (SortJob& job : jobs) {
+    if (!job.Wait().status.ok()) continue;
+    const unsigned long long id = job.id();
+    const std::string info =
+        StrFormat("alphasort_job_info{job=\"%llu\",phase=\"done\"", id);
+    const std::string fraction =
+        StrFormat("alphasort_job_fraction{job=\"%llu\"} 1\n", id);
+    if (expo.find(info) == std::string::npos ||
+        expo.find(fraction) == std::string::npos) {
+      fprintf(stderr,
+              "FAIL: final scrape does not show job %llu done at "
+              "fraction 1\n",
+              id);
+      ++failures;
+    }
+  }
+  if (!cfg.expo_path.empty() && !WriteTextFile(cfg.expo_path, expo)) {
     fprintf(stderr, "FAIL: cannot write exposition to %s\n",
             cfg.expo_path.c_str());
     ++failures;

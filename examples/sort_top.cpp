@@ -8,10 +8,11 @@
 //
 // Submits N concurrent Datamation jobs whose summed budgets oversubscribe
 // the service budget, then repeatedly scrapes obs::RenderExposition() —
-// the same text a Prometheus scraper would read — and renders each live
+// the same text a Prometheus scraper would read — and renders each
 // job's phase, completion fraction, throughput, and ETA until every job
-// finishes. The monitor deliberately consumes only the exposition text,
-// not the SortJob handles, so it exercises the full metrics path:
+// finishes (the registry keeps finished jobs, so they stay listed).
+// The monitor deliberately consumes only the exposition text, not the
+// SortJob handles, so it exercises the full metrics path:
 // pipeline -> JobProgressTracker -> ProgressRegistry -> exposition.
 // The header names the scrape source, so a pasted screenful says where
 // its numbers came from: the in-process registry, or (--expo-file) the
@@ -25,7 +26,7 @@
 // --smoke is the CI shape: 4 jobs over 2 runners, polled continuously.
 // Exit is nonzero if any job fails, any job's observed fraction ever
 // decreases between scrapes, no live progress was ever observed, or the
-// terminal svc.job.<id>.permille gauges are not 1000.
+// final scrape does not show every job at phase done, fraction 1.
 
 #include <chrono>
 #include <cstdio>
@@ -40,7 +41,6 @@
 #include "benchlib/datamation.h"
 #include "common/table.h"
 #include "obs/exposition.h"
-#include "obs/metrics.h"
 #include "svc/sort_service.h"
 
 using namespace alphasort;
@@ -277,7 +277,9 @@ int RunMonitor(const MonitorConfig& cfg) {
     const std::map<uint64_t, JobRow> rows = ParseJobs(expo);
     for (const auto& [id, row] : rows) {
       ++observations[id];
-      ++live_observations;
+      // Finished jobs stay in the scrape; only running ones count as
+      // live progress.
+      if (row.phase != "done" && row.phase != "failed") ++live_observations;
       auto [it, inserted] = last_fraction.emplace(id, row.fraction);
       if (!inserted) {
         if (row.fraction + 1e-9 < it->second) {
@@ -332,22 +334,21 @@ int RunMonitor(const MonitorConfig& cfg) {
            jobs[j].down_negotiated() ? " [down-negotiated]" : "");
   }
 
-  // Terminal state through the registry: completed jobs leave their
-  // svc.job.<id>.permille gauge at 1000 even after they unregister from
-  // the live-progress list.
-  const obs::RegistrySnapshot reg =
-      obs::MetricsRegistry::Global()->Snapshot();
+  // Terminal state through the exposition: the progress registry keeps
+  // each finished job, so a final scrape shows it at phase done,
+  // fraction 1.
+  const std::map<uint64_t, JobRow> final_rows =
+      ParseJobs(obs::RenderExposition());
   for (auto& job : jobs) {
-    const std::string gauge = StrFormat(
-        "svc.job.%llu.permille",
-        static_cast<unsigned long long>(job.id()));
-    auto it = reg.gauges.find(gauge);
-    if (it == reg.gauges.end() || it->second != 1000) {
-      fprintf(stderr, "FAIL: gauge %s is %lld, wanted 1000\n",
-              gauge.c_str(),
-              it == reg.gauges.end()
-                  ? -1ll
-                  : static_cast<long long>(it->second));
+    auto it = final_rows.find(job.id());
+    if (it == final_rows.end() || it->second.phase != "done" ||
+        it->second.fraction != 1.0) {
+      fprintf(stderr,
+              "FAIL: final scrape shows job %llu at phase %s, fraction "
+              "%.4f; wanted done, 1\n",
+              static_cast<unsigned long long>(job.id()),
+              it == final_rows.end() ? "(absent)" : it->second.phase.c_str(),
+              it == final_rows.end() ? -1.0 : it->second.fraction);
       ++failures;
     }
   }

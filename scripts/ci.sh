@@ -294,15 +294,17 @@ PY
   # while the jobs run, a structured-log JSONL capture, and a
   # flight-recorder capture. Each artifact must round-trip through its
   # format validator; the scrape must show the service actually worked
-  # (nonzero submissions, job 1 finished at permille 1000), and the log
-  # must carry the admission-lifecycle events.
+  # (nonzero submissions, a job at a nonzero fraction; sort_service
+  # itself fails unless the final scrape shows every completed job, job
+  # 1 included, at phase done, fraction 1), and the log must carry the
+  # admission-lifecycle events.
   ./build/examples/sort_service --smoke \
     --expo ci-artifacts/exposition.txt \
     --log-jsonl ci-artifacts/service_log.jsonl \
     --flight ci-artifacts/service_flight.jsonl
   ./build/examples/expo_lint ci-artifacts/exposition.txt \
     --require-nonzero alphasort_svc_jobs_submitted \
-    --require-nonzero alphasort_svc_job_1_permille
+    --require-nonzero alphasort_job_fraction
   ./build/examples/expo_lint ci-artifacts/service_flight.jsonl --flight
   ./build/examples/log_lint ci-artifacts/service_log.jsonl \
     --require-event svc.submit --require-event svc.admit \
@@ -318,7 +320,8 @@ PY
   # tracker -> registry -> exposition, end to end): 4 jobs over 2
   # runners, polled continuously. Exit is non-zero if any job fails, a
   # fraction regresses between scrapes, no live progress is ever
-  # observed, or any terminal svc.job.<id>.permille gauge is not 1000.
+  # observed, or the final scrape does not show every job at phase done,
+  # fraction 1.
   ./build/examples/sort_top --smoke
 
   echo

@@ -255,18 +255,10 @@ Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
 
 Status AlphaSort::Run(Env* env, const SortOptions& options,
                       SortMetrics* metrics) {
-  // Thin wrapper over the instance API: one transient Sorter sized from
-  // the options, one job, wait. New code should hold a Sorter (or a
-  // svc::SortService) and Start() jobs against it.
-  Sorter::Resources resources;
-  resources.num_workers = options.num_workers;
-  resources.io_threads = options.io_threads;
-  resources.use_affinity = options.use_affinity;
-  Sorter sorter(env, resources);
-  SortJob job = sorter.Start(options);
-  const SortResult& result = job.Wait();
-  if (metrics != nullptr) *metrics = result.metrics;
-  return result.status;
+  // Thin wrapper over the instance API: one transient Sorter, one job.
+  // New code should hold a Sorter (or a svc::SortService) and Start()
+  // jobs against it.
+  return core_internal::RunTransientJob(env, options, nullptr, metrics);
 }
 
 }  // namespace alphasort

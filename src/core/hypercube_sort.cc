@@ -185,22 +185,16 @@ Status HypercubeSort::Run(Env* env, const SortOptions& options,
   }
 
   // Thin shim: the sample-sort body inside the one shared pipeline
-  // harness, via a transient Sorter sized from the options. Wait() below
-  // keeps every by-reference capture alive for the job's duration.
+  // harness, via a transient Sorter. RunTransientJob waits for the job,
+  // so `metrics` outlives the body's use of it.
   HypercubeMetrics* out = metrics;
   auto body = [out, hyper](core_internal::SortContext* ctx) {
     return HypercubeBody(ctx, hyper, out);
   };
-  Sorter::Resources resources;
-  resources.num_workers = options.num_workers;
-  resources.io_threads = options.io_threads;
-  resources.use_affinity = options.use_affinity;
-  Sorter sorter(env, resources);
-  SortJob job = sorter.Start(options, body);
-  const SortResult& result = job.Wait();
-  metrics->sort = result.metrics;
-  if (result.status.ok()) metrics->total_s = result.metrics.total_s;
-  return result.status;
+  Status s = core_internal::RunTransientJob(env, options, body,
+                                            &metrics->sort);
+  if (s.ok()) metrics->total_s = metrics->sort.total_s;
+  return s;
 }
 
 }  // namespace alphasort

@@ -33,8 +33,7 @@ Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
   // when the job arrived over the wire, the client's trace id.
   obs::ScopedJobId job_scope(job->id);
   obs::ScopedTraceId trace_scope(job->options.trace_id);
-  job->progress.Start(job->id, job->publish_gauges,
-                      job->options.trace_id);
+  job->progress.Start(job->id, job->options.trace_id);
   obs::ScopedProgressRegistration progress_scope(&job->progress);
   const std::string in_label =
       job->options.input_path.empty() ? "<source>" : job->options.input_path;
@@ -174,5 +173,22 @@ SortJob Sorter::Start(const SortOptions& options,
   jobs_.push_back(std::move(running));
   return SortJob(core);
 }
+
+namespace core_internal {
+
+Status RunTransientJob(Env* env, const SortOptions& options,
+                       PipelineBody body, SortMetrics* metrics) {
+  Sorter::Resources resources;
+  resources.num_workers = options.num_workers;
+  resources.io_threads = options.io_threads;
+  resources.use_affinity = options.use_affinity;
+  Sorter sorter(env, resources);
+  SortJob job = sorter.Start(options, std::move(body));
+  const SortResult& result = job.Wait();
+  if (metrics != nullptr) *metrics = result.metrics;
+  return result.status;
+}
+
+}  // namespace core_internal
 
 }  // namespace alphasort

@@ -89,11 +89,11 @@ struct JobCore {
   std::function<void()> on_cancel;
 
   // Live progress, fed by the pipeline and snapshotted by
-  // SortJob::Progress(), the exposition renderer, and the flight
-  // recorder. `publish_gauges` mirrors it into svc.job.<id>.* registry
-  // gauges (a SortService opts in; plain Sorter jobs stay registry-free).
+  // SortJob::Progress(). ExecuteJob registers it with
+  // obs::ProgressRegistry, the exposition's and the flight recorder's
+  // one source of job progress, which keeps its final state once the
+  // job ends.
   obs::JobProgressTracker progress;
-  bool publish_gauges = false;
 
   mutable std::mutex mu;
   std::condition_variable cv;
@@ -114,6 +114,14 @@ struct JobCore {
 // a waiter never wakes to stale executor state. Used by Sorter's per-job
 // threads and SortService's runner threads.
 Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool);
+
+// Runs one job on a transient Sorter whose pools are sized from
+// `options` (num_workers, io_threads, use_affinity), waits for it, and
+// copies its metrics to `*metrics` when non-null. `body` null = the
+// planner's pass structure. The one-shot entry points (AlphaSort::Run,
+// VmsSort::Run, HypercubeSort::Run, SortWithSchema) are this call.
+Status RunTransientJob(Env* env, const SortOptions& options,
+                       PipelineBody body, SortMetrics* metrics);
 
 }  // namespace core_internal
 

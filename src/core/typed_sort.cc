@@ -47,17 +47,8 @@ Status SortWithSchema(Env* env, const SortOptions& options,
   wide_opts.input_path = cond_path;
   wide_opts.output_path = sorted_path;
   wide_opts.scratch_path = options.scratch_path + ".typed";
-  Status sort_status = [&]() -> Status {
-    Sorter::Resources resources;
-    resources.num_workers = wide_opts.num_workers;
-    resources.io_threads = wide_opts.io_threads;
-    resources.use_affinity = wide_opts.use_affinity;
-    Sorter sorter(env, resources);
-    SortJob job = sorter.Start(wide_opts);
-    const SortResult& result = job.Wait();
-    *metrics = result.metrics;
-    return result.status;
-  }();
+  Status sort_status =
+      core_internal::RunTransientJob(env, wide_opts, nullptr, metrics);
   env->DeleteFile(cond_path);
   if (!sort_status.ok()) {
     env->DeleteFile(sorted_path);

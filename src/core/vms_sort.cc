@@ -193,16 +193,8 @@ Status VmsBody(core_internal::SortContext* ctx) {
 Status VmsSort::Run(Env* env, const SortOptions& options,
                     SortMetrics* metrics) {
   // Thin shim: the replacement-selection body inside the one shared
-  // pipeline harness, via a transient Sorter sized from the options.
-  Sorter::Resources resources;
-  resources.num_workers = options.num_workers;
-  resources.io_threads = options.io_threads;
-  resources.use_affinity = options.use_affinity;
-  Sorter sorter(env, resources);
-  SortJob job = sorter.Start(options, VmsBody);
-  const SortResult& result = job.Wait();
-  if (metrics != nullptr) *metrics = result.metrics;
-  return result.status;
+  // pipeline harness, via a transient Sorter.
+  return core_internal::RunTransientJob(env, options, VmsBody, metrics);
 }
 
 }  // namespace alphasort

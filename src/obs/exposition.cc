@@ -103,9 +103,9 @@ std::string RenderExposition(const RegistrySnapshot& registry,
            "\n";
   }
 
-  // Live jobs: one series per job per facet, labelled by job id. The
-  // phase is exposed twice — numerically (plot it) and as a label on
-  // the info series (read it).
+  // Live and kept finished jobs: one series per job per facet, labelled
+  // by job id. The phase is exposed twice — numerically (plot it) and as
+  // a label on the info series (read it).
   if (!jobs.empty()) {
     AppendType("alphasort_job_phase", "gauge", &out);
     for (const JobProgress& j : jobs) {
@@ -143,8 +143,9 @@ std::string RenderExposition(const RegistrySnapshot& registry,
 }
 
 std::string RenderExposition() {
-  return RenderExposition(MetricsRegistry::Global()->Snapshot(),
-                          ProgressRegistry::Global()->Snapshot());
+  return RenderExposition(
+      MetricsRegistry::Global()->Snapshot(),
+      ProgressRegistry::Global()->SnapshotWithFinished());
 }
 
 // ---------------------------------------------------------------------
@@ -310,7 +311,7 @@ std::string RenderFlightRecord() {
           std::chrono::system_clock::now().time_since_epoch())
           .count());
   const std::vector<JobProgress> jobs =
-      ProgressRegistry::Global()->Snapshot();
+      ProgressRegistry::Global()->SnapshotWithFinished();
   const RegistrySnapshot reg = MetricsRegistry::Global()->Snapshot();
 
   std::string out = StrFormat(

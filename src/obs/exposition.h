@@ -20,10 +20,11 @@ namespace obs {
 struct JsonValue;
 
 // Point-in-time text exposition of the whole observability surface —
-// every registry counter, gauge, and histogram plus per-job live
-// progress — in the Prometheus text format (version 0.0.4), so a
-// scraper, a curl loop, or examples/sort_top can watch a running
-// service without bespoke protocols:
+// every registry counter, gauge, and histogram plus per-job progress
+// (live jobs and ProgressRegistry's kept finished ones) — in the
+// Prometheus text format (version 0.0.4), so a scraper, a curl loop, or
+// examples/sort_top can watch a running service without bespoke
+// protocols:
 //
 //   # TYPE alphasort_svc_jobs_running gauge
 //   alphasort_svc_jobs_running 3
@@ -34,7 +35,8 @@ struct JsonValue;
 // become '_') and prefixed "alphasort_". Histograms render as summaries
 // (p50/p95/p99 quantiles plus _sum and _count).
 
-// Renders the global registry and the live jobs in ProgressRegistry.
+// Renders the global registry and ProgressRegistry's live and kept
+// finished jobs.
 std::string RenderExposition();
 
 // Deterministic variant for tests and embedding: renders exactly the
@@ -55,8 +57,9 @@ std::string SanitizeMetricName(const std::string& name);
 Status ValidateExpositionText(const std::string& text);
 
 // One flight-recorder record: a compact JSON object with a wall-clock
-// timestamp, every live job's progress, and the nonzero counters and
-// gauges. Appended as one JSONL line per tick.
+// timestamp, the progress of every live job and every kept finished one
+// (ProgressRegistry), and the nonzero counters and gauges. Appended as
+// one JSONL line per tick.
 std::string RenderFlightRecord();
 
 // Validates a flight-recorder capture: every non-empty line parses as a

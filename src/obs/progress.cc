@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/table.h"
-#include "obs/metrics.h"
-
 namespace alphasort {
 namespace obs {
 
@@ -16,6 +13,13 @@ uint64_t SteadyNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+void SortByJobId(std::vector<JobProgress>* jobs) {
+  std::sort(jobs->begin(), jobs->end(),
+            [](const JobProgress& a, const JobProgress& b) {
+              return a.job_id < b.job_id;
+            });
 }
 
 }  // namespace
@@ -42,8 +46,7 @@ const char* SortPhaseName(SortPhase phase) {
   return "unknown";
 }
 
-void JobProgressTracker::Start(uint64_t job_id, bool publish_gauges,
-                               uint64_t trace_id) {
+void JobProgressTracker::Start(uint64_t job_id, uint64_t trace_id) {
   job_id_.store(job_id, std::memory_order_relaxed);
   trace_id_.store(trace_id, std::memory_order_relaxed);
   phase_.store(static_cast<int>(SortPhase::kStartup),
@@ -56,24 +59,7 @@ void JobProgressTracker::Start(uint64_t job_id, bool publish_gauges,
   sorted_.store(0, std::memory_order_relaxed);
   spilled_.store(0, std::memory_order_relaxed);
   merged_.store(0, std::memory_order_relaxed);
-  if (publish_gauges) {
-    auto* registry = MetricsRegistry::Global();
-    const std::string base = StrFormat(
-        "svc.job.%llu", static_cast<unsigned long long>(job_id));
-    phase_gauge_.store(registry->GetGauge(base + ".phase"),
-                       std::memory_order_relaxed);
-    permille_gauge_.store(registry->GetGauge(base + ".permille"),
-                          std::memory_order_relaxed);
-    if (trace_id != 0) {
-      // Set once, never cleared: the gauge ties the finished job back to
-      // its distributed trace in the exposition and the flight recorder
-      // after the live tracker has unregistered.
-      registry->GetGauge(base + ".trace")
-          ->Set(static_cast<int64_t>(trace_id));
-    }
-  }
   start_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
-  PublishGauges();
 }
 
 void JobProgressTracker::SetPlan(uint64_t bytes_total, int passes) {
@@ -96,12 +82,10 @@ void JobProgressTracker::SetPlanUnknown(int passes_hint) {
 
 void JobProgressTracker::SetPhase(SortPhase phase) {
   phase_.store(static_cast<int>(phase), std::memory_order_relaxed);
-  PublishGauges();
 }
 
 void JobProgressTracker::AddRead(uint64_t bytes) {
   read_.fetch_add(bytes, std::memory_order_relaxed);
-  PublishGauges();
 }
 
 void JobProgressTracker::AddSorted(uint64_t bytes) {
@@ -110,12 +94,10 @@ void JobProgressTracker::AddSorted(uint64_t bytes) {
 
 void JobProgressTracker::AddSpilled(uint64_t bytes) {
   spilled_.fetch_add(bytes, std::memory_order_relaxed);
-  PublishGauges();
 }
 
 void JobProgressTracker::AddMerged(uint64_t bytes) {
   merged_.fetch_add(bytes, std::memory_order_relaxed);
-  PublishGauges();
 }
 
 JobProgress JobProgressTracker::Snapshot() const {
@@ -169,33 +151,6 @@ JobProgress JobProgressTracker::Snapshot() const {
   return p;
 }
 
-void JobProgressTracker::PublishGauges() {
-  Gauge* phase_gauge = phase_gauge_.load(std::memory_order_relaxed);
-  if (phase_gauge == nullptr) return;
-  phase_gauge->Set(phase_.load(std::memory_order_relaxed));
-  const uint64_t total = work_total_.load(std::memory_order_relaxed);
-  Gauge* permille_gauge = permille_gauge_.load(std::memory_order_relaxed);
-  if (permille_gauge != nullptr) {
-    const int phase = phase_.load(std::memory_order_relaxed);
-    const uint64_t read = read_.load(std::memory_order_relaxed);
-    uint64_t effective_total = total;
-    if (!total_known_.load(std::memory_order_relaxed)) {
-      // Unknown-total (streamed) jobs: estimate from bytes read so far,
-      // mirroring Snapshot(). Clamped to 999 until DONE arrives.
-      effective_total = work_factor_.load(std::memory_order_relaxed) * read;
-    }
-    if (phase == static_cast<int>(SortPhase::kDone)) {
-      permille_gauge->Set(1000);
-    } else if (effective_total > 0) {
-      const uint64_t done = read +
-                            spilled_.load(std::memory_order_relaxed) +
-                            merged_.load(std::memory_order_relaxed);
-      permille_gauge->Set(static_cast<int64_t>(
-          std::min<uint64_t>(999, done * 1000 / effective_total)));
-    }
-  }
-}
-
 ProgressRegistry* ProgressRegistry::Global() {
   static ProgressRegistry* registry = new ProgressRegistry();
   return registry;
@@ -207,13 +162,16 @@ void ProgressRegistry::Register(const JobProgressTracker* tracker) {
 }
 
 void ProgressRegistry::Unregister(const JobProgressTracker* tracker) {
+  const JobProgress last = tracker->Snapshot();
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = trackers_.begin(); it != trackers_.end(); ++it) {
-    if (*it == tracker) {
-      trackers_.erase(it);
-      return;
-    }
-  }
+  auto it = std::find(trackers_.begin(), trackers_.end(), tracker);
+  if (it == trackers_.end()) return;
+  trackers_.erase(it);
+  std::erase_if(finished_, [&](const JobProgress& p) {
+    return p.job_id == last.job_id;
+  });
+  if (finished_.size() == kKeptJobs) finished_.pop_front();
+  finished_.push_back(last);
 }
 
 std::vector<JobProgress> ProgressRegistry::Snapshot() const {
@@ -225,10 +183,31 @@ std::vector<JobProgress> ProgressRegistry::Snapshot() const {
       out.push_back(t->Snapshot());
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const JobProgress& a, const JobProgress& b) {
-              return a.job_id < b.job_id;
-            });
+  SortByJobId(&out);
+  return out;
+}
+
+std::vector<JobProgress> ProgressRegistry::SnapshotWithFinished() const {
+  std::vector<JobProgress> out;
+  {
+    // One lock for both lists, so a job that unregisters mid-call shows
+    // up in exactly one of them.
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(trackers_.size() + finished_.size());
+    for (const JobProgressTracker* t : trackers_) {
+      out.push_back(t->Snapshot());
+    }
+    const size_t live = out.size();
+    for (const JobProgress& p : finished_) {
+      const bool shadowed =
+          std::any_of(out.begin(), out.begin() + live,
+                      [&](const JobProgress& l) {
+                        return l.job_id == p.job_id;
+                      });
+      if (!shadowed) out.push_back(p);
+    }
+  }
+  SortByJobId(&out);
   return out;
 }
 

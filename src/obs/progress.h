@@ -3,15 +3,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace alphasort {
 namespace obs {
-
-class Gauge;
 
 // Live per-job progress for the sort pipeline.
 //
@@ -75,15 +75,12 @@ struct JobProgress {
 // loop publish without coordination.
 class JobProgressTracker {
  public:
-  // Resets and stamps the start time. `publish_gauges` additionally
-  // mirrors phase and permille into svc.job.<id>.* registry gauges
-  // (services opt in; plain Sorter jobs keep the registry clean).
-  // `trace_id` (0 = none) attributes the job to a distributed trace: it
-  // rides on snapshots, the exposition's job_info series, the flight
-  // recorder, and — when publishing — a svc.job.<id>.trace gauge that
-  // outlives the job, so tests and post-mortems can join a finished
-  // job back to its trace.
-  void Start(uint64_t job_id, bool publish_gauges, uint64_t trace_id = 0);
+  // Resets and stamps the start time. `trace_id` (0 = none) attributes
+  // the job to a distributed trace: it rides on snapshots, so the
+  // exposition's job_info series and the flight recorder carry it, and
+  // ProgressRegistry's kept-job list joins a finished job back to its
+  // trace.
+  void Start(uint64_t job_id, uint64_t trace_id = 0);
 
   // Called once the planner has sized the job (input bytes + pass count).
   void SetPlan(uint64_t bytes_total, int passes);
@@ -106,8 +103,6 @@ class JobProgressTracker {
   JobProgress Snapshot() const;
 
  private:
-  void PublishGauges();
-
   std::atomic<uint64_t> job_id_{0};
   std::atomic<uint64_t> trace_id_{0};
   std::atomic<int> phase_{static_cast<int>(SortPhase::kQueued)};
@@ -121,32 +116,42 @@ class JobProgressTracker {
   std::atomic<uint64_t> sorted_{0};
   std::atomic<uint64_t> spilled_{0};
   std::atomic<uint64_t> merged_{0};
-  // Steady-clock nanoseconds; 0 = not started. Atomic (like the gauge
-  // pointers) because Snapshot() may poll from a connection thread while
-  // the service thread is still inside Start() for a just-dequeued job.
+  // Steady-clock nanoseconds; 0 = not started. Atomic because
+  // Snapshot() may poll from a connection thread while the service
+  // thread is still inside Start() for a just-dequeued job.
   std::atomic<uint64_t> start_ns_{0};
-
-  std::atomic<Gauge*> phase_gauge_{nullptr};
-  std::atomic<Gauge*> permille_gauge_{nullptr};
 };
 
-// Registry of live trackers, walked by the exposition renderer and the
-// flight recorder. ExecuteJob registers its tracker for the duration of
-// the run; finished jobs drop out (their final state lives on in the
-// SortJob handle and the svc.* counters).
+// The one publisher of job progress, walked by the exposition renderer
+// and the flight recorder. ExecuteJob registers its tracker for the
+// duration of the run. When a tracker unregisters, its final snapshot
+// joins a kept-job list of the last kKeptJobs jobs to end (failed ones
+// included), so a finished job stays visible to a scrape or a
+// post-mortem while the registry's size stays fixed however many jobs
+// the process serves.
 class ProgressRegistry {
  public:
+  static constexpr size_t kKeptJobs = 64;
+
   static ProgressRegistry* Global();
 
   void Register(const JobProgressTracker* tracker);
+  // Drops `tracker` from the live list and keeps its final snapshot in
+  // place of any kept job with the same id (job ids restart at 1 in
+  // each Sorter and SortService).
   void Unregister(const JobProgressTracker* tracker);
 
   // Snapshots every live tracker, sorted by job id.
   std::vector<JobProgress> Snapshot() const;
 
+  // What the exposition and the flight record render: every live job,
+  // plus each kept job whose id no live job holds, sorted by job id.
+  std::vector<JobProgress> SnapshotWithFinished() const;
+
  private:
   mutable std::mutex mu_;
   std::vector<const JobProgressTracker*> trackers_;
+  std::deque<JobProgress> finished_;  // oldest first, <= kKeptJobs
 };
 
 // RAII registration for ExecuteJob's scope.

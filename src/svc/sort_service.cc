@@ -173,9 +173,6 @@ Result<SortJob> SortService::Submit(const SortOptions& options) {
   // Cancel() wakes the runners so a cancelled queued job is reaped
   // promptly instead of at the next admission tick.
   core->on_cancel = [this] { cv_.notify_all(); };
-  // Service jobs mirror their progress into svc.job.<id>.* gauges so
-  // the exposition endpoint can report them without a handle.
-  core->publish_gauges = true;
 
   queue_.push_back(core);
   ++stats_.submitted;

@@ -136,7 +136,7 @@ TEST(FlightRecordTest, RenderRoundTripsThroughValidator) {
 
 TEST(FlightRecordTest, CapturesLiveJobs) {
   JobProgressTracker t;
-  t.Start(55123, /*publish_gauges=*/false);
+  t.Start(55123);
   t.SetPlan(1000, 1);
   t.AddRead(500);
   t.SetPhase(SortPhase::kRead);

@@ -36,6 +36,7 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/progress.h"
 #include "obs/trace.h"
 #include "record/generator.h"
 #include "tests/test_flight.h"
@@ -798,8 +799,9 @@ TEST_F(NetServiceTest, DoneCrcMismatchIsCorruptionAndConnSurvives) {
 // and the id shows up in every observability surface on both sides of
 // the wire — the client's net.submit span, the server's net.ingest /
 // net.sort_wait / net.stream_back spans, the structured log's service
-// lifecycle events, and the job's registry gauge — while the RESULT's
-// stage breakdown stays coherent with the server's elapsed time.
+// lifecycle events, and the job's kept progress in the exposition and
+// the flight record — while the RESULT's stage breakdown stays coherent
+// with the server's elapsed time.
 // Client and server share this process, so one recorder and one log
 // sink capture both halves of the wire.
 TEST_F(NetServiceTest, TracePropagatesEndToEnd) {
@@ -885,27 +887,49 @@ TEST_F(NetServiceTest, TracePropagatesEndToEnd) {
   EXPECT_TRUE(admit_tagged) << "svc.admit not stamped with the trace id";
   EXPECT_TRUE(complete_tagged) << "svc.complete not stamped";
 
-  // And the registry: the job's .trace gauge (the flight recorder's
-  // join key) holds the id, and the timeline fed the e2e histogram.
+  // And the registry: the finished job is kept in ProgressRegistry under
+  // its trace id (the flight recorder's join key), and the timeline fed
+  // the e2e histogram.
+  bool kept = false;
+  for (const obs::JobProgress& p :
+       obs::ProgressRegistry::Global()->SnapshotWithFinished()) {
+    if (p.job_id != outcome.job_id) continue;
+    kept = true;
+    EXPECT_EQ(kTraceId, p.trace_id);
+    EXPECT_EQ(obs::SortPhase::kDone, p.phase);
+  }
+  EXPECT_TRUE(kept) << "job " << outcome.job_id << " not kept";
   const obs::RegistrySnapshot reg =
       obs::MetricsRegistry::Global()->Snapshot();
-  const std::string gauge = StrFormat(
-      "svc.job.%llu.trace", static_cast<unsigned long long>(outcome.job_id));
-  auto it = reg.gauges.find(gauge);
-  ASSERT_NE(reg.gauges.end(), it) << gauge << " missing from the registry";
-  EXPECT_EQ(int64_t(kTraceId), it->second);
   const auto hist = reg.histograms.find("net.job.e2e_us");
   ASSERT_NE(reg.histograms.end(), hist);
   EXPECT_GE(hist->second.count, uint64_t(1));
 
-  // The flight recorder samples the same gauges, so a post-mortem
+  // The exposition's job_info series names the trace id.
+  const std::string expo = obs::RenderExposition();
+  EXPECT_NE(std::string::npos,
+            expo.find(StrFormat(
+                "alphasort_job_info{job=\"%llu\",phase=\"done\","
+                "trace=\"%llu\"} 1\n",
+                static_cast<unsigned long long>(outcome.job_id),
+                static_cast<unsigned long long>(kTraceId))))
+      << expo;
+
+  // The flight recorder renders the same kept job, so a post-mortem
   // capture taken any time after admission names the trace id too.
   const std::string flight = obs::RenderFlightRecord();
-  EXPECT_NE(std::string::npos,
-            flight.find(StrFormat(
-                "\"%s\":%llu", gauge.c_str(),
-                static_cast<unsigned long long>(kTraceId))))
-      << flight;
+  obs::JsonValue record;
+  ASSERT_TRUE(obs::ParseJson(flight, &record).ok()) << flight;
+  bool flight_traced = false;
+  for (const obs::JsonValue& job : record.Find("jobs")->items) {
+    const obs::JsonValue* id = job.Find("id");
+    const obs::JsonValue* trace = job.Find("trace");
+    if (id != nullptr && uint64_t(id->number_value) == outcome.job_id &&
+        trace != nullptr && uint64_t(trace->number_value) == kTraceId) {
+      flight_traced = true;
+    }
+  }
+  EXPECT_TRUE(flight_traced) << flight;
 }
 
 TEST_F(NetServiceTest, ManyConcurrentClients) {

@@ -1,6 +1,6 @@
 // Tests for live job progress (src/obs/progress.h): the overlap-model
 // work plan, monotonic clamped fractions, terminal states, registry
-// lifecycle, and the opt-in svc.job.* gauges.
+// lifecycle, and the registry's bounded list of kept finished jobs.
 
 #include "obs/progress.h"
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "obs/metrics.h"
 
 namespace alphasort {
 namespace obs {
@@ -16,7 +15,7 @@ namespace {
 
 TEST(ProgressPlanTest, OnePassPlanIsTwiceTheInput) {
   JobProgressTracker t;
-  t.Start(1, /*publish_gauges=*/false);
+  t.Start(1);
   t.SetPlan(/*bytes_total=*/1000, /*passes=*/1);
   const JobProgress p = t.Snapshot();
   EXPECT_EQ(p.bytes_total, 1000u);
@@ -25,7 +24,7 @@ TEST(ProgressPlanTest, OnePassPlanIsTwiceTheInput) {
 
 TEST(ProgressPlanTest, TwoPassPlanIsThriceTheInput) {
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlan(1000, /*passes=*/2);
   EXPECT_EQ(t.Snapshot().work_total, 3000u);
 }
@@ -34,7 +33,7 @@ TEST(ProgressTrackerTest, SortedBytesAddNoWorkOfTheirOwn) {
   // The §7 overlap model: QuickSort rides under the read stream, so
   // sorted bytes are display-only — work is read + spill + merge.
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlan(1000, 1);
   t.AddRead(400);
   t.AddSorted(400);
@@ -47,7 +46,7 @@ TEST(ProgressTrackerTest, SortedBytesAddNoWorkOfTheirOwn) {
 
 TEST(ProgressTrackerTest, FractionIsMonotonicUnderInterleavedUpdates) {
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlan(10000, 2);
   double last = 0;
   for (int i = 0; i < 40; ++i) {
@@ -67,7 +66,7 @@ TEST(ProgressTrackerTest, FractionClampsBelowOneUntilDone) {
   // A cascade merge re-spills intermediate levels, so work_done can
   // overshoot the plan; only kDone may report 1.0.
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlan(1000, 2);
   t.AddRead(1000);
   t.AddSpilled(1000);
@@ -82,7 +81,7 @@ TEST(ProgressTrackerTest, UnknownTotalEstimatesFromBytesRead) {
   // running work estimate from bytes_read so snapshots still move, and
   // never reports done until the phase says so.
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlanUnknown(/*passes_hint=*/1);
   {
     const JobProgress p = t.Snapshot();
@@ -111,7 +110,7 @@ TEST(ProgressTrackerTest, UnknownTotalEstimatesFromBytesRead) {
 
 TEST(ProgressTrackerTest, EtaExtrapolatesRemainingWork) {
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlan(1 << 20, 1);
   t.AddRead(1 << 19);
   const JobProgress p = t.Snapshot();
@@ -124,7 +123,7 @@ TEST(ProgressTrackerTest, EtaExtrapolatesRemainingWork) {
 
 TEST(ProgressTrackerTest, FailedJobReportsNoEta) {
   JobProgressTracker t;
-  t.Start(1, false);
+  t.Start(1);
   t.SetPlan(1000, 1);
   t.AddRead(500);
   t.SetPhase(SortPhase::kFailed);
@@ -145,9 +144,9 @@ TEST(ProgressPhaseTest, PhaseNamesAreStable) {
 
 TEST(ProgressRegistryTest, SnapshotIsSortedByJobId) {
   JobProgressTracker a, b, c;
-  a.Start(30, false);
-  b.Start(10, false);
-  c.Start(20, false);
+  a.Start(30);
+  b.Start(10);
+  c.Start(20);
   ScopedProgressRegistration ra(&a);
   ScopedProgressRegistration rb(&b);
   ScopedProgressRegistration rc(&c);
@@ -168,7 +167,7 @@ TEST(ProgressRegistryTest, SnapshotIsSortedByJobId) {
 
 TEST(ProgressRegistryTest, ScopedRegistrationUnregistersOnExit) {
   JobProgressTracker t;
-  t.Start(777, false);
+  t.Start(777);
   {
     ScopedProgressRegistration reg(&t);
     bool found = false;
@@ -182,20 +181,86 @@ TEST(ProgressRegistryTest, ScopedRegistrationUnregistersOnExit) {
   }
 }
 
-TEST(ProgressGaugeTest, PublishedGaugesTrackPhaseAndPermille) {
+// The entries of `jobs` with id `job_id`.
+std::vector<JobProgress> WithId(const std::vector<JobProgress>& jobs,
+                                uint64_t job_id) {
+  std::vector<JobProgress> out;
+  for (const JobProgress& p : jobs) {
+    if (p.job_id == job_id) out.push_back(p);
+  }
+  return out;
+}
+
+TEST(ProgressKeptJobTest, FinishedJobKeepsPhaseAndFraction) {
+  auto* registry = ProgressRegistry::Global();
   JobProgressTracker t;
-  t.Start(91001, /*publish_gauges=*/true);
+  t.Start(91001, /*trace_id=*/4242);
   t.SetPlan(1000, 1);
   t.AddRead(1000);
   t.AddMerged(500);
-  auto* registry = MetricsRegistry::Global();
-  RegistrySnapshot snap = registry->Snapshot();
-  EXPECT_EQ(snap.gauges.at("svc.job.91001.permille"), 750);
-  t.SetPhase(SortPhase::kDone);
-  snap = registry->Snapshot();
-  EXPECT_EQ(snap.gauges.at("svc.job.91001.permille"), 1000);
-  EXPECT_EQ(snap.gauges.at("svc.job.91001.phase"),
-            static_cast<int64_t>(SortPhase::kDone));
+  {
+    ScopedProgressRegistration reg(&t);
+    const std::vector<JobProgress> live =
+        WithId(registry->SnapshotWithFinished(), 91001);
+    ASSERT_EQ(live.size(), 1u);
+    EXPECT_DOUBLE_EQ(live[0].fraction, 0.75);
+    t.SetPhase(SortPhase::kDone);
+  }
+  // Snapshot() stays live-only; the final state lives on in what the
+  // exposition and the flight record render.
+  EXPECT_TRUE(WithId(registry->Snapshot(), 91001).empty());
+  const std::vector<JobProgress> kept =
+      WithId(registry->SnapshotWithFinished(), 91001);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].phase, SortPhase::kDone);
+  EXPECT_DOUBLE_EQ(kept[0].fraction, 1.0);
+  EXPECT_EQ(kept[0].trace_id, 4242u);
+}
+
+TEST(ProgressKeptJobTest, KeepsTheLastJobsToEndFailedOnesIncluded) {
+  constexpr uint64_t kBase = 92000;
+  constexpr uint64_t kJobs = ProgressRegistry::kKeptJobs + 8;
+  for (uint64_t i = 0; i < kJobs; ++i) {
+    JobProgressTracker t;
+    t.Start(kBase + i);
+    ScopedProgressRegistration reg(&t);
+    t.SetPhase(i % 2 == 0 ? SortPhase::kDone : SortPhase::kFailed);
+  }
+  // Nothing is live, so every entry is a kept one.
+  const std::vector<JobProgress> kept =
+      ProgressRegistry::Global()->SnapshotWithFinished();
+  ASSERT_EQ(kept.size(), ProgressRegistry::kKeptJobs);
+  for (size_t k = 0; k < kept.size(); ++k) {
+    const uint64_t i = kJobs - ProgressRegistry::kKeptJobs + k;
+    EXPECT_EQ(kept[k].job_id, kBase + i);
+    EXPECT_EQ(kept[k].phase,
+              i % 2 == 0 ? SortPhase::kDone : SortPhase::kFailed);
+  }
+}
+
+TEST(ProgressKeptJobTest, ALiveJobShadowsTheKeptJobWithItsId) {
+  auto* registry = ProgressRegistry::Global();
+  JobProgressTracker first;
+  first.Start(93001);
+  {
+    ScopedProgressRegistration reg(&first);
+    first.SetPhase(SortPhase::kDone);
+  }
+  JobProgressTracker second;
+  second.Start(93001);
+  second.SetPhase(SortPhase::kRead);
+  {
+    ScopedProgressRegistration reg(&second);
+    const std::vector<JobProgress> rendered =
+        WithId(registry->SnapshotWithFinished(), 93001);
+    ASSERT_EQ(rendered.size(), 1u);
+    EXPECT_EQ(rendered[0].phase, SortPhase::kRead);
+    second.SetPhase(SortPhase::kFailed);
+  }
+  const std::vector<JobProgress> kept =
+      WithId(registry->SnapshotWithFinished(), 93001);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].phase, SortPhase::kFailed);
 }
 
 }  // namespace

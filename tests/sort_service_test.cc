@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -531,7 +532,7 @@ TEST(SortServiceTest, LevelGaugesReturnToZeroAfterCancelStorm) {
 
 // SortJob::Progress() observed from outside the pipeline: the fraction
 // never decreases, and a finished job reports phase done, fraction 1.0,
-// with its terminal permille gauge at 1000.
+// and is kept in ProgressRegistry's finished list at that state.
 TEST(SortServiceTest, JobProgressFractionsAreMonotonic) {
   std::unique_ptr<Env> mem = NewMemEnv();
   EnvStack stack(mem.get());
@@ -564,12 +565,75 @@ TEST(SortServiceTest, JobProgressFractionsAreMonotonic) {
   EXPECT_DOUBLE_EQ(final_p.fraction, 1.0);
   EXPECT_GE(final_p.work_done, final_p.bytes_total * 2);
 
+  // The registry keeps the finished job's terminal state.
+  bool kept = false;
+  for (const obs::JobProgress& p :
+       obs::ProgressRegistry::Global()->SnapshotWithFinished()) {
+    if (p.job_id != handle.id()) continue;
+    kept = true;
+    EXPECT_EQ(p.phase, obs::SortPhase::kDone);
+    EXPECT_DOUBLE_EQ(p.fraction, 1.0);
+  }
+  EXPECT_TRUE(kept) << "job " << handle.id() << " not kept";
+  ExpectNoScratch(mem.get());
+}
+
+size_t RegistryMetricCount() {
   const obs::RegistrySnapshot snap =
       obs::MetricsRegistry::Global()->Snapshot();
-  const std::string gauge = StrFormat(
-      "svc.job.%llu.permille",
-      static_cast<unsigned long long>(handle.id()));
-  EXPECT_EQ(snap.gauges.at(gauge), 1000);
+  return snap.counters.size() + snap.gauges.size() + snap.histograms.size();
+}
+
+// Serving jobs leaves the metrics registry the size it had after the
+// first one: job progress is published once, through ProgressRegistry,
+// whose kept-job list is bounded. Each kept job reads its final state
+// and its trace id.
+TEST(SortServiceTest, RegistryStaysFixedAcrossServedJobs) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  ASSERT_TRUE(MakeInput(mem.get(), 0, 1000).ok());
+  constexpr int kJobs = int(obs::ProgressRegistry::kKeptJobs) + 16;
+  constexpr uint64_t kTraceBase = 0x5eed0000;
+
+  svc::SortServiceOptions sopts;
+  sopts.max_queued = kJobs;
+  svc::SortService service(mem.get(), sopts);
+  std::vector<SortJob> jobs;
+  auto submit = [&](int index) {
+    SortOptions opts = JobOptions(0, 1 * kMB);
+    opts.output_path = StrFormat("out_%02d.dat", index);
+    opts.trace_id = kTraceBase + uint64_t(index);
+    Result<SortJob> job = service.Submit(opts);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    jobs.push_back(std::move(job).value());
+  };
+
+  submit(0);
+  ASSERT_TRUE(jobs[0].Wait().status.ok());
+  const size_t after_first = RegistryMetricCount();
+  for (int i = 1; i < kJobs; ++i) submit(i);
+  for (SortJob& job : jobs) ASSERT_TRUE(job.Wait().status.ok());
+  EXPECT_EQ(RegistryMetricCount(), after_first);
+
+  // No job is live and more ended than the registry keeps, so it holds
+  // exactly the last kKeptJobs of this service's jobs, whatever earlier
+  // tests left.
+  std::map<uint64_t, uint64_t> trace_of;
+  for (int i = 0; i < kJobs; ++i) {
+    trace_of[jobs[i].id()] = kTraceBase + uint64_t(i);
+  }
+  const std::vector<obs::JobProgress> kept =
+      obs::ProgressRegistry::Global()->SnapshotWithFinished();
+  ASSERT_EQ(kept.size(), obs::ProgressRegistry::kKeptJobs);
+  for (size_t k = 0; k < kept.size(); ++k) {
+    const obs::JobProgress& p = kept[k];
+    if (k > 0) {
+      EXPECT_LT(kept[k - 1].job_id, p.job_id);
+    }
+    ASSERT_EQ(trace_of.count(p.job_id), 1u) << "job " << p.job_id;
+    EXPECT_EQ(p.trace_id, trace_of[p.job_id]);
+    EXPECT_EQ(p.phase, obs::SortPhase::kDone);
+    EXPECT_DOUBLE_EQ(p.fraction, 1.0);
+  }
   ExpectNoScratch(mem.get());
 }
 
