@@ -3,7 +3,7 @@
 //   ./sort_service [--jobs N] [--running K] [--records N]
 //                  [--budget-mb MB] [--job-budget-mb MB] [--workers K]
 //                  [--faults] [--smoke] [--expo FILE] [--log-jsonl FILE]
-//                  [--flight FILE]
+//                  [--flight FILE] [--trace FILE]
 //
 // --expo FILE scrapes the Prometheus-style exposition (registry plus
 // live per-job progress) into FILE repeatedly while jobs run and once
@@ -11,6 +11,9 @@
 // a JSONL sink to the global structured logger for the run; validate
 // with log_lint. --flight FILE runs a flight recorder that appends a
 // progress snapshot line 4x/second; replay with expo_lint --flight.
+// --trace FILE records a Chrome trace of the whole run (every job's
+// spans, each stamped with its job id) into FILE on exit; validate with
+// trace_lint.
 //
 // Default mode submits N concurrent Datamation jobs against an in-memory
 // filesystem, waits for them all, validates every output, and prints the
@@ -38,6 +41,7 @@
 #include "io/env_stack.h"
 #include "obs/exposition.h"
 #include "obs/log.h"
+#include "obs/trace.h"
 #include "svc/sort_service.h"
 
 using namespace alphasort;
@@ -56,6 +60,7 @@ struct DriverConfig {
   std::string expo_path;
   std::string log_jsonl_path;
   std::string flight_path;
+  std::string trace_path;
 };
 
 // Overwrites `path` with `text` (the exposition scrape is a whole
@@ -331,12 +336,14 @@ int main(int argc, char** argv) {
       cfg.log_jsonl_path = argv[++i];
     } else if (strcmp(argv[i], "--flight") == 0 && i + 1 < argc) {
       cfg.flight_path = argv[++i];
+    } else if (strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+      cfg.trace_path = argv[++i];
     } else {
       fprintf(stderr,
               "usage: %s [--jobs N] [--running K] [--records N] "
               "[--budget-mb MB] [--job-budget-mb MB] [--workers K] "
               "[--faults] [--smoke] [--expo FILE] [--log-jsonl FILE] "
-              "[--flight FILE]\n",
+              "[--flight FILE] [--trace FILE]\n",
               argv[0]);
       return 2;
     }
@@ -350,5 +357,21 @@ int main(int argc, char** argv) {
     cfg.budget_mb = 32;
     cfg.job_budget_mb = 16;
   }
-  return RunDriver(cfg);
+  // The recorder outlives the service; the JSON is written after
+  // Uninstall so no instrumentation point races the export.
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  if (!cfg.trace_path.empty()) {
+    recorder = std::make_unique<obs::TraceRecorder>();
+    recorder->Install();
+  }
+  int rc = RunDriver(cfg);
+  if (recorder != nullptr) {
+    obs::TraceRecorder::Uninstall();
+    if (!WriteTextFile(cfg.trace_path, recorder->ToChromeJson())) {
+      fprintf(stderr, "FAIL: cannot write trace to %s\n",
+              cfg.trace_path.c_str());
+      rc = 1;
+    }
+  }
+  return rc;
 }

@@ -116,7 +116,8 @@ stage_sanitizers() {
   # The suites where threads actually share state: the async IO
   # scheduler, the file source's chunk reads landing in a block while
   # the reader checks the prefix below them, the chore pool + full
-  # pipeline, retries racing IO threads, the partitioned merge's
+  # pipeline, concurrent jobs waiting on their own chore groups over one
+  # shared pool, retries racing IO threads, the partitioned merge's
   # concurrent range merges (whose two-pass ranges share run files and
   # the AIO pool: the pipeline matrix's spill cells, and
   # merge_files_test's merges of sorted files on workers), the fault
@@ -130,9 +131,9 @@ stage_sanitizers() {
     async_io_test chores_test alphasort_test merge_partition_test \
     merge_files_test pipeline_matrix_test retry_env_test \
     fault_campaign_test obs_test throttled_env_test sort_service_test \
-    net_service_test record_source_test
+    net_service_test record_source_test shared_pool_test
   run_ctest build-tsan -R \
-    '^(async_io_test|record_source_test|chores_test|alphasort_test|merge_partition_test|merge_files_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
+    '^(async_io_test|record_source_test|chores_test|shared_pool_test|alphasort_test|merge_partition_test|merge_files_test|pipeline_matrix_test|retry_env_test|fault_campaign_test|obs_test|throttled_env_test|sort_service_test|net_service_test)$'
 }
 
 # --- stage: smokes ---------------------------------------------------
@@ -285,7 +286,15 @@ PY
   # cancelled right after submit. Exit is non-zero if any surviving job
   # fails or produces unsorted output, if the cancel ends dirty, if peak
   # admitted bytes ever exceeded the budget, or if a scratch file leaks.
-  ./build/examples/sort_service --smoke
+  # Its trace must attribute every run sort, range merge and job span to
+  # a job while the jobs share the service's workers (each chore carries
+  # the ids of the job whose ChoreGroup dispatched it; cross-job span
+  # nesting is always rejected).
+  ./build/examples/sort_service --smoke \
+    --trace ci-artifacts/service_trace.json
+  ./build/examples/trace_lint ci-artifacts/service_trace.json \
+    --require quicksort --require merge --require sort.run \
+    --require-job quicksort --require-job merge --require-job sort.run
 
   echo
   echo "=== exposition smoke: scrape + log + flight artifacts validate ==="

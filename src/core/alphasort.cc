@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/metrics_env.h"
 #include "obs/perf_counters.h"
-#include "obs/trace.h"
 
 namespace alphasort {
 
@@ -58,9 +57,8 @@ PhaseSlot SlotOf(obs::SortPhase phase) {
   }
 }
 
-// Startup, the pass body and close: builds and opens the source, creates
-// the output, plans the passes, runs `body` (RunPasses when empty) and
-// closes both ends whatever happened, returning the first error.
+}  // namespace
+
 Status OpenRunClose(SortContext* ctx, const PipelineBody& body) {
   const SortOptions& options = *ctx->options;
   SortMetrics* metrics = ctx->metrics;
@@ -158,8 +156,6 @@ Status OpenRunClose(SortContext* ctx, const PipelineBody& body) {
   return status;
 }
 
-}  // namespace
-
 void SortContext::EnterPhase(obs::SortPhase next) {
   const double lap = phase_timer_.Lap();
   if (double SortMetrics::*field = SlotOf(phase_).lap) metrics->*field += lap;
@@ -175,8 +171,7 @@ void SortContext::EnterPhase(obs::SortPhase next) {
 
 Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
                     ChorePool* pool, const SortControl* control,
-                    SortMetrics* metrics, uint64_t job_id,
-                    obs::JobProgressTracker* progress,
+                    SortMetrics* metrics, obs::JobProgressTracker* progress,
                     const PipelineBody& run) {
   SortMetrics local_metrics;
   if (metrics == nullptr) metrics = &local_metrics;
@@ -201,11 +196,6 @@ Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
   ctx.aio = aio;
   ctx.pool = pool;
   ctx.control = control;
-  ctx.job_id = job_id;
-  // The ambient trace id was established by the caller (ExecuteJob's
-  // ScopedTraceId); capture it so chore lambdas can re-establish it on
-  // whichever worker thread picks them up.
-  ctx.trace_id = obs::CurrentTraceId();
   ctx.progress = progress;
 
   Status status;
@@ -238,17 +228,6 @@ Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
   metrics->registry_delta =
       obs::MetricsRegistry::Global()->Snapshot().DeltaSince(registry_before);
   return status;
-}
-
-Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
-                       ChorePool* pool, const SortControl* control,
-                       SortMetrics* metrics, uint64_t job_id,
-                       obs::JobProgressTracker* progress,
-                       const PipelineBody& body) {
-  ALPHASORT_RETURN_IF_ERROR(options.Validate());
-  return RunInHarness(
-      env, options, aio, pool, control, metrics, job_id, progress,
-      [&body](SortContext* ctx) { return OpenRunClose(ctx, body); });
 }
 
 }  // namespace core_internal

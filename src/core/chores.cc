@@ -1,8 +1,5 @@
 #include "core/chores.h"
 
-#include <algorithm>
-#include <atomic>
-
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -50,7 +47,6 @@ ChorePool::ChorePool(int num_workers, bool use_affinity) {
 }
 
 ChorePool::~ChorePool() {
-  WaitIdle();
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutting_down_ = true;
@@ -69,42 +65,10 @@ void ChorePool::Submit(std::function<void()> chore) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(chore));
-    ++in_flight_;
     depth = queue_.size();
   }
   obs::TraceCounter("chores.queue_depth", static_cast<int64_t>(depth));
   work_cv_.notify_one();
-}
-
-void ChorePool::WaitIdle() {
-  if (workers_.empty()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ChorePool::ParallelFor(size_t n,
-                            const std::function<void(size_t)>& chore) {
-  if (n == 0) return;
-  // Drainers grab contiguous chunks of indices, not one index per
-  // fetch_add: with fine-grained bodies (prefaulting a page, touching a
-  // slice) a shared counter bumped once per index ping-pongs its cache
-  // line between every thread and the RMW becomes the loop. ~8 chunks
-  // per thread keeps the tail load-balanced while shrinking counter
-  // traffic by the chunk factor.
-  const size_t threads = static_cast<size_t>(num_workers()) + 1;
-  const size_t chunk = std::max<size_t>(1, n / (8 * threads));
-  std::atomic<size_t> next{0};
-  auto drain = [&next, n, chunk, &chore] {
-    for (size_t lo = next.fetch_add(chunk); lo < n;
-         lo = next.fetch_add(chunk)) {
-      const size_t hi = std::min(n, lo + chunk);
-      for (size_t i = lo; i < hi; ++i) chore(i);
-    }
-  };
-  // One drainer per worker plus the root.
-  for (int w = 0; w < num_workers(); ++w) Submit(drain);
-  drain();
-  WaitIdle();
 }
 
 void ChorePool::WorkerLoop() {
@@ -120,12 +84,36 @@ void ChorePool::WorkerLoop() {
     }
     chore();
     ChoresExecuted()->Add();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) idle_cv_.notify_all();
-    }
   }
+}
+
+ChoreGroup::ChoreGroup(ChorePool* pool)
+    : pool_(pool),
+      job_id_(obs::CurrentJobId()),
+      trace_id_(obs::CurrentTraceId()) {}
+
+ChoreGroup::~ChoreGroup() { Wait(); }
+
+void ChoreGroup::Submit(std::function<void()> chore) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++pending_;
+  }
+  pool_->Submit([this, chore = std::move(chore)]() mutable {
+    {
+      obs::ScopedJobId job_scope(job_id_);
+      obs::ScopedTraceId trace_scope(trace_id_);
+      chore();
+      chore = nullptr;  // its captures go before the chore counts as done
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) done_cv_.notify_all();
+  });
+}
+
+void ChoreGroup::Wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 }  // namespace alphasort

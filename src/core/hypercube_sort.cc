@@ -18,7 +18,7 @@ namespace alphasort {
 
 namespace {
 
-// The sample-sort pass structure, run inside the shared RunSortPipeline
+// The sample-sort pass structure, run inside the shared RunInHarness
 // harness. Needs the whole input resident and evenly divided up front,
 // so it requires a source with a known total.
 Status HypercubeBody(core_internal::SortContext* ctx,

@@ -103,7 +103,7 @@ Status MergeSortedFiles(Env* env, const std::vector<std::string>& inputs,
   ChorePool pool(options.num_workers, options.use_affinity);
   return core_internal::RunInHarness(
       env, options, &aio, &pool, /*control=*/nullptr, metrics,
-      /*job_id=*/0, /*progress=*/nullptr,
+      /*progress=*/nullptr,
       [&](SortContext* ctx) { return SampleMergeClose(ctx, inputs, output); });
 }
 

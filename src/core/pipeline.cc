@@ -10,7 +10,6 @@
 #include "core/pipeline_internal.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
-#include "obs/trace.h"
 #include "sort/merge_partition.h"
 #include "sort/merger.h"
 #include "sort/quicksort.h"
@@ -120,6 +119,7 @@ Status PartitionedMerge(SortContext* ctx,
   const size_t write_depth =
       static_cast<size_t>(std::max(2, opts.write_buffers));
   const size_t workers = static_cast<size_t>(ctx->pool->num_workers());
+  // A zero-worker pool runs each range inline as it is submitted.
   const bool root_fills = workers == 0;
   if (num_ranges > 1) {
     PartitionCounters::Get()->sorts->Add();
@@ -246,10 +246,6 @@ Status PartitionedMerge(SortContext* ctx,
     }
   };
   auto fill_range = [&](size_t r) {
-    // Chores from concurrent jobs interleave on shared workers, so the
-    // ambient job and trace ids must be re-established per chore.
-    obs::ScopedJobId job_scope(ctx->job_id);
-    obs::ScopedTraceId trace_scope(ctx->trace_id);
     obs::Stage range_stage(&ctx->perf, "merge.range", "cpu");
     SortStats stats;
     Status s;
@@ -299,23 +295,20 @@ Status PartitionedMerge(SortContext* ctx,
     shared.sealed_cv.notify_one();
   };
 
+  // Declared after everything the fills reference, so it waits for them
+  // on every way out of this function.
+  ChoreGroup fills(ctx->pool);
   for (size_t r = 0; r < num_ranges; ++r) {
-    if (root_fills) {
-      fill_range(r);
-    } else {
-      // Everything captured by reference outlives the chore: the root
-      // WaitIdle()s before this function returns.
-      ctx->pool->Submit([&fill_range, r] { fill_range(r); });
-    }
+    fills.Submit([&fill_range, r] { fill_range(r); });
   }
   while (pump()) {
   }
 
   // Unwind: wake every filler (on error they drain out; on success they
-  // are already done), let the pool go idle, then retire whatever writes
-  // are still outstanding — the buffers must outlive them.
+  // are already done), wait for this merge's fills, then retire whatever
+  // writes are still outstanding — the buffers must outlive them.
   if (!status.ok()) raise_abort();
-  if (!root_fills) ctx->pool->WaitIdle();
+  fills.Wait();
   while (!in_flight.empty()) retire_oldest();
   if (status.ok()) status = shared.error;
 
@@ -391,10 +384,11 @@ Status MergeEntryRuns(SortContext* ctx, const std::vector<EntryRun>& runs,
 }
 
 // Touches one page in every 4 KiB of the fresh block and entry arrays,
-// in parallel slices (§5: "the workers sweep through the address space
-// touching pages... zeroing a 1 GB address space takes 12 cpu seconds"),
-// so page faults don't serialize inside the read and sort loops. Never
-// called on a resident source's (read-only) buffer.
+// one slice per worker plus the root's slice 0 (§5: "the workers sweep
+// through the address space touching pages... zeroing a 1 GB address
+// space takes 12 cpu seconds"; "in its spare time, the root performs
+// sorting chores"), so page faults don't serialize inside the read and
+// sort loops. Never called on a resident source's (read-only) buffer.
 void Prefault(SortContext* ctx, char* block, size_t block_len,
               PrefixEntry* entries, size_t num_entries) {
   constexpr size_t kPage = 4096;
@@ -407,10 +401,16 @@ void Prefault(SortContext* ctx, char* block, size_t block_len,
   };
   char* entry_bytes = reinterpret_cast<char*>(entries);
   const size_t entry_len = num_entries * sizeof(PrefixEntry);
-  ctx->pool->ParallelFor(slices, [&](size_t s) {
+  auto touch_slice = [&](size_t s) {
     if (block != nullptr) touch(block, block_len, s);
     touch(entry_bytes, entry_len, s);
-  });
+  };
+  ChoreGroup sweep(ctx->pool);
+  for (size_t s = 1; s < slices; ++s) {
+    sweep.Submit([&touch_slice, s] { touch_slice(s); });
+  }
+  touch_slice(0);
+  sweep.Wait();
 }
 
 // EntryRun views over the first `n` entries, one per sorted run.
@@ -525,6 +525,9 @@ Status RunPasses(SortContext* ctx) {
     qs_stats.Add(stats);
     ProgressSorted(ctx, len * rec);
   };
+  // The run sorts this sort dispatched; declared after what they
+  // reference, so it waits for them on every way out.
+  ChoreGroup run_sorts(ctx->pool);
 
   // Phases: read until the input ends; last_run from there to the merge
   // (the tail sort that cannot overlap any input, §7, and a spilling
@@ -544,17 +547,14 @@ Status RunPasses(SortContext* ctx) {
 
   // Ingests one block of up to `cap` records, cut into runs of
   // run_length(cap): sorts every run as the read front passes it (a chore
-  // per run), the tail inline, and drains the pool, so the caller may
-  // merge or reuse the block.
+  // per run), the tail inline, and waits for its run sorts, so the caller
+  // may merge or reuse the block.
   auto ingest_block = [&](uint64_t cap, uint64_t* n, bool* at_end) {
     run_records = run_length(cap);
     uint64_t next_run = 0;
     auto dispatch_runs_below = [&](const char* data, uint64_t ready) {
       for (; ready - next_run >= run_records; next_run += run_records) {
-        ctx->pool->Submit([ctx, &sort_run, data, start = next_run,
-                           run_records] {
-          obs::ScopedJobId job_scope(ctx->job_id);
-          obs::ScopedTraceId trace_scope(ctx->trace_id);
+        run_sorts.Submit([&sort_run, data, start = next_run, run_records] {
           sort_run(data, start, run_records);
         });
       }
@@ -579,12 +579,12 @@ Status RunPasses(SortContext* ctx) {
     if (!s.ok()) {
       // Dispatched chores reference the block; they must finish before
       // the error unwinds it.
-      ctx->pool->WaitIdle();
+      run_sorts.Wait();
       return s;
     }
     if (*at_end) ctx->EnterPhase(obs::SortPhase::kLastRun);
     if (next_run < *n) sort_run(base, next_run, *n - next_run);
-    ctx->pool->WaitIdle();
+    run_sorts.Wait();
     return Status::OK();
   };
 

@@ -52,13 +52,8 @@ struct SortContext {
   // polls it at run/merge-batch boundaries via CheckControl.
   const SortControl* control = nullptr;
 
-  // Job attribution and live progress, optional. `job_id` (and
-  // `trace_id`, for jobs that arrived over the wire) re-establish the
-  // ambient obs::CurrentJobId()/CurrentTraceId() inside chore lambdas
-  // (chores from concurrent jobs interleave on shared worker threads);
-  // `progress` receives the byte flow at every IO-buffer quantum.
-  uint64_t job_id = 0;
-  uint64_t trace_id = 0;
+  // Live progress, optional: receives the byte flow at every IO-buffer
+  // quantum.
   obs::JobProgressTracker* progress = nullptr;
 
   // Every scratch-run path this sort has created, whether or not it was
@@ -68,11 +63,10 @@ struct SortContext {
   std::vector<std::string> scratch_created;
 
   // The job's hardware-counter sink: every obs::Stage the sort opens is
-  // charged here, and RunSortPipeline hands it over as SortMetrics::perf.
+  // charged here, and RunInHarness hands it over as SortMetrics::perf.
   // Lifetime condition: every chore that opens a Stage finishes before
-  // the body returns. The ingest WaitIdle, PartitionedMerge's WaitIdle
-  // and the synchronous ParallelFor drain them, so no sample outlives
-  // the context.
+  // the body returns. Each fan-out waits on its own ChoreGroup, so no
+  // sample outlives the context.
   obs::PerfAccumulator perf;
 
   // The phase clock, the one place phases change. Laps the time since
@@ -113,8 +107,8 @@ inline void ProgressMerged(SortContext* ctx, uint64_t bytes) {
 // A pass body: the part of the sort between "input opened, plan chosen"
 // and "output written". The default body is RunPasses; the legacy entry
 // points (VmsSort, HypercubeSort) inject their own bodies and inherit the
-// whole harness — validation, env wrapping, observability, metrics — from
-// the one RunSortPipeline path.
+// whole harness — env wrapping, observability, metrics — from the one
+// RunInHarness path.
 using PipelineBody = std::function<Status(SortContext*)>;
 
 // The harness every execution runs in, sorts and merges of sorted files
@@ -126,23 +120,15 @@ using PipelineBody = std::function<Status(SortContext*)>;
 // registry delta. `options` is used as given, not validated.
 Status RunInHarness(Env* env, const SortOptions& options, AsyncIO* aio,
                     ChorePool* pool, const SortControl* control,
-                    SortMetrics* metrics, uint64_t job_id,
-                    obs::JobProgressTracker* progress,
+                    SortMetrics* metrics, obs::JobProgressTracker* progress,
                     const PipelineBody& run);
 
-// The whole sort pipeline with caller-provided shared resources: plan
-// passes, run them, fill metrics. `aio` and `pool` may be shared across
-// concurrent sorts (a SortService owns one of each); `control` is the
-// per-job cancellation/deadline token (may be null). The env wrapping
-// (metrics, retry) prescribed by `options` happens inside. `job_id`
-// attributes trace spans and log events; `progress` (may be null)
-// receives live phase/byte-flow updates. A null `body` runs RunPasses.
-// AlphaSort::Run and Sorter jobs both land here.
-Status RunSortPipeline(Env* env, const SortOptions& options, AsyncIO* aio,
-                       ChorePool* pool, const SortControl* control,
-                       SortMetrics* metrics, uint64_t job_id = 0,
-                       obs::JobProgressTracker* progress = nullptr,
-                       const PipelineBody& body = nullptr);
+// A sort's `run` for RunInHarness: startup, the pass body and close.
+// Builds and opens the source, creates the output, plans the passes,
+// runs `body` (RunPasses when empty) and closes both ends whatever
+// happened, returning the first error. Every Sorter and SortService job
+// lands here.
+Status OpenRunClose(SortContext* ctx, const PipelineBody& body);
 
 // Records per spilled block: half the budget's worth, leaving the other
 // half as headroom for the merge that follows (§6).

@@ -270,43 +270,20 @@ Status StreamRecordSource::Read(char* dst, size_t n, size_t* got) {
 }
 
 bool StreamRecordSource::Append(const char* data, size_t n) {
-  bool accepted = false;
-  // No timeout: block until the consumer makes room or the stream dies.
-  while (true) {
-    Status s = TryAppend(data, n, /*timeout_ms=*/1000, &accepted);
-    if (!s.ok()) return false;
-    if (accepted) return true;
-  }
-}
-
-Status StreamRecordSource::TryAppend(const char* data, size_t n,
-                                     int timeout_ms, bool* accepted) {
-  *accepted = false;
   std::unique_lock<std::mutex> lock(mu_);
-  if (!error_.ok()) return error_;
-  if (closed_) {
-    return Status::InvalidArgument("append after Close()");
-  }
-  const auto fits = [this, n] {
-    return buffered_ == 0 || buffered_ + n <= capacity_;
-  };
-  if (!fits()) {
-    can_append_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                         [this, n, &fits] {
-                           return fits() || closed_ || !error_.ok();
-                         });
-  }
-  if (!error_.ok()) return error_;
-  if (closed_) return Status::InvalidArgument("append after Close()");
-  if (!fits()) return Status::OK();  // timed out; try again later
+  // No timeout: block until the consumer makes room or the stream dies.
+  can_append_.wait(lock, [this, n] {
+    return closed_ || !error_.ok() || buffered_ == 0 ||
+           buffered_ + n <= capacity_;
+  });
+  if (closed_ || !error_.ok()) return false;
   if (n > 0) {
     chunks_.emplace_back(data, n);
     buffered_ += n;
     peak_buffered_ = std::max(peak_buffered_, buffered_);
   }
-  *accepted = true;
   can_read_.notify_all();
-  return Status::OK();
+  return true;
 }
 
 void StreamRecordSource::CloseWrite() {

@@ -221,7 +221,7 @@ class GeneratedRecordSource : public RecordSource {
 
 // A source fed incrementally by a producer on another thread — the heart
 // of the spool-free network path. The consumer (the pipeline) pulls with
-// Read(); the producer pushes with Append()/TryAppend() against a
+// Read(); the producer pushes with Append() against a
 // bounded byte buffer (backpressure: a slow sort throttles the upload
 // instead of buffering it all), then Close() for a clean end of input or
 // Fail() to poison the stream. Total size is never known — the planner
@@ -247,13 +247,6 @@ class StreamRecordSource : public RecordSource {
   // chunk is always accepted rather than deadlocking). Returns false if
   // the stream was closed, failed, or abandoned by its consumer.
   bool Append(const char* data, size_t n);
-
-  // Non-blocking-ish Append: waits at most `timeout_ms` for space.
-  // On return, `*accepted` says whether the chunk was taken; a non-OK
-  // status means the stream is dead (failed or already closed) and no
-  // further appends can succeed.
-  Status TryAppend(const char* data, size_t n, int timeout_ms,
-                   bool* accepted);
 
   // End of input: readers drain what is buffered, then see EOF.
   void CloseWrite();

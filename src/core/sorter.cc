@@ -1,5 +1,6 @@
 #include "core/sorter.h"
 
+#include <atomic>
 #include <utility>
 
 #include "common/table.h"
@@ -10,6 +11,11 @@
 namespace alphasort {
 
 namespace core_internal {
+
+uint64_t NextJobId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void JobCore::Finish(Status status) {
   std::vector<std::function<void()>> callbacks;
@@ -28,9 +34,10 @@ Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
     std::lock_guard<std::mutex> lock(job->mu);
     job->state = SortJobState::kRunning;
   }
-  // Every span and log event on this thread (and, via SortContext,
-  // every chore the pipeline dispatches) carries this job's id — and,
-  // when the job arrived over the wire, the client's trace id.
+  // Every span and log event on this thread (and, via the ChoreGroups
+  // the pipeline fans out through, every chore it dispatches) carries
+  // this job's id — and, when the job arrived over the wire, the
+  // client's trace id.
   obs::ScopedJobId job_scope(job->id);
   obs::ScopedTraceId trace_scope(job->options.trace_id);
   job->progress.Start(job->id, job->options.trace_id);
@@ -44,9 +51,11 @@ Status ExecuteJob(Env* env, JobCore* job, AsyncIO* aio, ChorePool* pool) {
   // A job cancelled or expired while queued never touches a file.
   Status s = job->control.Check();
   if (s.ok()) {
-    s = RunSortPipeline(env, job->options, aio, pool, &job->control,
-                        &job->result.metrics, job->id, &job->progress,
-                        job->body);
+    s = RunInHarness(env, job->options, aio, pool, &job->control,
+                     &job->result.metrics, &job->progress,
+                     [job](SortContext* ctx) {
+                       return OpenRunClose(ctx, job->body);
+                     });
   }
   job->progress.SetPhase(s.ok() ? obs::SortPhase::kDone
                                 : obs::SortPhase::kFailed);
@@ -148,12 +157,9 @@ SortJob Sorter::Start(const SortOptions& options) {
 SortJob Sorter::Start(const SortOptions& options,
                       core_internal::PipelineBody body) {
   auto core = std::make_shared<core_internal::JobCore>();
+  core->id = core_internal::NextJobId();
   core->options = options;
   core->body = std::move(body);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    core->id = next_id_++;
-  }
   if (Status v = pool_status_.ok() ? options.Validate() : pool_status_;
       !v.ok()) {
     core->Finish(std::move(v));

@@ -107,6 +107,10 @@ struct JobCore {
   void Finish(Status status);
 };
 
+// A job id no other job in this process holds: every Sorter and
+// SortService draws from the one counter, which starts at 1.
+uint64_t NextJobId();
+
 // Runs `job` on the calling thread over the shared resources, filling
 // job->result (metrics + report), and returns its outcome without
 // publishing it. The executor settles its own bookkeeping first (a
@@ -233,7 +237,6 @@ class Sorter {
   ChorePool pool_;
   std::mutex mu_;
   std::vector<Running> jobs_;
-  uint64_t next_id_ = 1;
 };
 
 }  // namespace alphasort

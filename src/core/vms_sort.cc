@@ -159,8 +159,8 @@ Status GenerateRuns(core_internal::SortContext* ctx,
 }
 
 // The replacement-selection pass structure, run inside the shared
-// RunSortPipeline harness (which owns validation, env wrapping, file
-// opens, metrics, and observability).
+// RunInHarness harness (which owns env wrapping, metrics and
+// observability) by OpenRunClose (which owns the file opens).
 Status VmsBody(core_internal::SortContext* ctx) {
   core_internal::ScratchSweeper sweeper(ctx);
   ctx->metrics->passes = 2;

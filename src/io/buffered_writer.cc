@@ -24,16 +24,7 @@ Status BufferedWriter::Retire(Buffer* buf) {
   return aio_->Wait(buf->pending);
 }
 
-Status BufferedWriter::Acquire(char** dst, size_t* room) {
-  Buffer& buf = buffers_[current_];
-  ALPHASORT_RETURN_IF_ERROR(Retire(&buf));
-  *dst = buf.data.data() + fill_;
-  *room = buffer_bytes_ - fill_;
-  return Status::OK();
-}
-
-void BufferedWriter::Seal(size_t n) {
-  fill_ += n;
+void BufferedWriter::Seal() {
   if (fill_ == 0) return;
   Buffer& buf = buffers_[current_];
   crc_ = Crc32c(buf.data.data(), fill_, crc_);
@@ -46,18 +37,14 @@ void BufferedWriter::Seal(size_t n) {
 
 Status BufferedWriter::Append(const char* data, size_t n) {
   while (n > 0) {
-    char* dst = nullptr;
-    size_t room = 0;
-    ALPHASORT_RETURN_IF_ERROR(Acquire(&dst, &room));
-    const size_t take = std::min(n, room);
-    memcpy(dst, data, take);
+    Buffer& buf = buffers_[current_];
+    ALPHASORT_RETURN_IF_ERROR(Retire(&buf));
+    const size_t take = std::min(n, buffer_bytes_ - fill_);
+    memcpy(buf.data.data() + fill_, data, take);
+    fill_ += take;
     data += take;
     n -= take;
-    if (take == room) {
-      Seal(take);
-    } else {
-      fill_ += take;
-    }
+    if (fill_ == buffer_bytes_) Seal();
   }
   return Status::OK();
 }
@@ -66,7 +53,7 @@ Status BufferedWriter::Finish() {
   if (finished_) return Status::OK();
   finished_ = true;
   Status first_error;
-  Seal(0);
+  Seal();
   for (auto& b : buffers_) {
     Status s = Retire(&b);
     if (!s.ok() && first_error.ok()) first_error = s;

@@ -12,17 +12,12 @@ namespace alphasort {
 
 // The output ring: `num_buffers` buffers cycling fill → seal → async
 // write → retire — the output half of the paper's multi-buffering
-// discipline (§6). Every sequential writer streams through it: the
-// in-memory merge's output, spilled runs, the scratch merge, the VMS-sort
-// runs and the public record writer. Bytes land at consecutive offsets
-// from 0, and a running CRC-32C covers them in submit order, which is
-// file order.
+// discipline (§6). Its writers are the VMS-sort runs and the public
+// record writer (RecordFileWriter); the sort's merges write through
+// PartitionedMerge instead. Append copies bytes in, sealing each buffer
+// as it fills. Bytes land at consecutive offsets from 0, and a running
+// CRC-32C covers them in submit order, which is file order.
 //
-// Two ways to fill a buffer:
-//   Append(data, n)       copies bytes in, sealing each buffer as it fills;
-//   Acquire() + Seal(n)   hands out the current buffer's free space so the
-//                         caller gathers records straight into it, then
-//                         seals the `n` bytes it wrote.
 // A buffer's previous write is retired lazily, when the ring comes back
 // round to it, so up to `num_buffers` writes are in flight. After an
 // error the ring is dead; Abort() (and the destructor) waits out every
@@ -42,13 +37,6 @@ class BufferedWriter {
 
   // Appends `n` bytes; may submit writes and retire earlier ones.
   Status Append(const char* data, size_t n);
-
-  // Points `*dst` at the current buffer's free space (`*room` bytes),
-  // retiring that buffer's previous write first.
-  Status Acquire(char** dst, size_t* room);
-
-  // Marks `n` bytes of the acquired space filled and submits the buffer.
-  void Seal(size_t n);
 
   // Submits the partial tail and retires every write; returns the first
   // error. Idempotent.
@@ -70,6 +58,8 @@ class BufferedWriter {
   };
 
   Status Retire(Buffer* buf);
+  // Submits the current buffer's bytes, if any, and moves to the next.
+  void Seal();
 
   File* file_;
   AsyncIO* aio_;

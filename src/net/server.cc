@@ -143,7 +143,7 @@ class NetServer::Connection {
     std::string tenant;
     std::string out_path;
     // The job's input, fed frame by frame; the pipeline reads the other
-    // end concurrently (backpressure: TryAppend stalls the upload when
+    // end concurrently (backpressure: Append stalls the upload when
     // the sort falls behind, instead of buffering the whole stream).
     std::shared_ptr<StreamRecordSource> stream;
     uint64_t received = 0;
@@ -360,6 +360,12 @@ Status NetServer::Connection::ServeOneJob(FrameReader* reader,
   }
   SortJob job = std::move(submitted).value();
   server_->NoteJobSubmitted();
+  // A job that ends without reading to EOF (a queued job reaped by its
+  // deadline never opens the stream at all) must not leave the upload
+  // blocked in Append on a reader that will never come.
+  job.OnDone([stream = st.stream] {
+    stream->Fail(Status::Aborted("job ended before reading its input"));
+  });
 
   // Spans from here carry the service-assigned job id, so a trace
   // follows one request across accept/ingest/sort/stream-back.
@@ -446,23 +452,12 @@ Status NetServer::Connection::IngestInput(FrameReader* reader,
         st->crc = Crc32c(frame.payload.data(), frame.payload.size(), st->crc);
         st->received += n;
         server_->NoteBytesRx(n);
-        while (!stream_dead) {
-          // Bounded-buffer append with a deadline, so a dead consumer
-          // (the job failed mid-ingest) is noticed instead of blocking
-          // this thread on a reader that will never drain the stream.
-          bool accepted = false;
-          Status as = st->stream->TryAppend(frame.payload.data(),
-                                            frame.payload.size(),
-                                            /*timeout_ms=*/50, &accepted);
-          if (!as.ok() || accepted) {
-            stream_dead = !as.ok();
-            break;
-          }
-          if (job->TryWait()) {
-            // Finished without reading to EOF: the job failed (a queued
-            // job reaped by its deadline never opens the stream at all).
-            stream_dead = true;
-          }
+        // Bounded-buffer append: blocks while the sort falls behind, and
+        // fails once the job is gone (its consumer closed the stream, or
+        // the OnDone hook failed it).
+        if (!stream_dead &&
+            !st->stream->Append(frame.payload.data(), frame.payload.size())) {
+          stream_dead = true;
         }
         break;
       }

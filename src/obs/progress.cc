@@ -167,9 +167,6 @@ void ProgressRegistry::Unregister(const JobProgressTracker* tracker) {
   auto it = std::find(trackers_.begin(), trackers_.end(), tracker);
   if (it == trackers_.end()) return;
   trackers_.erase(it);
-  std::erase_if(finished_, [&](const JobProgress& p) {
-    return p.job_id == last.job_id;
-  });
   if (finished_.size() == kKeptJobs) finished_.pop_front();
   finished_.push_back(last);
 }
@@ -197,15 +194,7 @@ std::vector<JobProgress> ProgressRegistry::SnapshotWithFinished() const {
     for (const JobProgressTracker* t : trackers_) {
       out.push_back(t->Snapshot());
     }
-    const size_t live = out.size();
-    for (const JobProgress& p : finished_) {
-      const bool shadowed =
-          std::any_of(out.begin(), out.begin() + live,
-                      [&](const JobProgress& l) {
-                        return l.job_id == p.job_id;
-                      });
-      if (!shadowed) out.push_back(p);
-    }
+    out.insert(out.end(), finished_.begin(), finished_.end());
   }
   SortByJobId(&out);
   return out;

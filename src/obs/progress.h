@@ -136,16 +136,15 @@ class ProgressRegistry {
   static ProgressRegistry* Global();
 
   void Register(const JobProgressTracker* tracker);
-  // Drops `tracker` from the live list and keeps its final snapshot in
-  // place of any kept job with the same id (job ids restart at 1 in
-  // each Sorter and SortService).
+  // Drops `tracker` from the live list and keeps its final snapshot
+  // (job ids are unique in a process, so a kept job is never live).
   void Unregister(const JobProgressTracker* tracker);
 
   // Snapshots every live tracker, sorted by job id.
   std::vector<JobProgress> Snapshot() const;
 
-  // What the exposition and the flight record render: every live job,
-  // plus each kept job whose id no live job holds, sorted by job id.
+  // What the exposition and the flight record render: every live job
+  // and every kept job, sorted by job id.
   std::vector<JobProgress> SnapshotWithFinished() const;
 
  private:

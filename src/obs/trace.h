@@ -41,8 +41,8 @@ int CurrentThreadId();
 // jobs share one ChorePool and one trace ring, so a thread id alone
 // cannot attribute a span; every span, log event, and progress update
 // reads this thread-local instead. Executors set it on the job's root
-// thread for the whole run, and each chore lambda re-establishes it on
-// whichever worker picked the chore up.
+// thread for the whole run, and its ChoreGroup re-establishes it on
+// whichever worker picks up one of the job's chores.
 uint64_t CurrentJobId();
 
 // RAII job-id scope: sets the calling thread's ambient job id, restores
@@ -69,8 +69,9 @@ class ScopedJobId {
 // log events exactly like the job id.
 uint64_t CurrentTraceId();
 
-// RAII trace-id scope, the cross-process sibling of ScopedJobId. Every
-// chore lambda that re-establishes the job id re-establishes this too.
+// RAII trace-id scope, the cross-process sibling of ScopedJobId. A
+// ChoreGroup re-establishes this on its chores' workers along with the
+// job id.
 class ScopedTraceId {
  public:
   explicit ScopedTraceId(uint64_t trace_id);

@@ -126,7 +126,7 @@ Result<SortJob> SortService::Submit(const SortOptions& options) {
         static_cast<int>(queue_.size()), options_.max_queued));
   }
 
-  core->id = next_id_++;
+  core->id = core_internal::NextJobId();
 
   // Down-negotiate a budget the service could never admit: clamp it to
   // the whole service budget, which makes the §6 planner choose a

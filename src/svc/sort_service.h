@@ -139,7 +139,6 @@ class SortService {
   std::condition_variable cv_;
   bool shutdown_ = false;
   std::deque<JobCorePtr> queue_;
-  uint64_t next_id_ = 1;
   SortServiceStats stats_;
   std::vector<std::thread> runners_;
 };

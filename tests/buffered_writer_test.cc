@@ -28,41 +28,6 @@ TEST(BufferedWriterTest, WritesExactBytes) {
   ASSERT_TRUE(writer.Finish().ok());
   EXPECT_EQ(writer.bytes_written(), expected.size());
   EXPECT_EQ(env->ReadFileToString("f").value(), expected);
-}
-
-// In-place fills (Acquire + Seal) interleave with Append on a deeper
-// ring; the bytes land in order and the running CRC covers exactly them.
-TEST(BufferedWriterTest, AcquireSealInterleavesWithAppendAndTracksCrc) {
-  auto env = NewMemEnv();
-  auto file = env->OpenFile("f", OpenMode::kCreateReadWrite);
-  ASSERT_TRUE(file.ok());
-  AsyncIO aio(2);
-  BufferedWriter writer(file.value().get(), &aio, 64, /*num_buffers=*/4);
-
-  Random rng(2);
-  std::string expected;
-  for (int i = 0; i < 200; ++i) {
-    if (i % 3 == 0) {
-      char* dst = nullptr;
-      size_t room = 0;
-      ASSERT_TRUE(writer.Acquire(&dst, &room).ok());
-      ASSERT_GT(room, 0u);
-      const size_t n = 1 + rng.Uniform(room);
-      for (size_t j = 0; j < n; ++j) {
-        dst[j] = static_cast<char>(rng.Next32() & 0xff);
-      }
-      expected.append(dst, n);
-      writer.Seal(n);
-    } else {
-      std::string chunk(1 + rng.Uniform(100), 0);
-      for (auto& c : chunk) c = static_cast<char>(rng.Next32() & 0xff);
-      ASSERT_TRUE(writer.Append(chunk.data(), chunk.size()).ok());
-      expected += chunk;
-    }
-  }
-  ASSERT_TRUE(writer.Finish().ok());
-  EXPECT_EQ(writer.bytes_written(), expected.size());
-  EXPECT_EQ(env->ReadFileToString("f").value(), expected);
   EXPECT_EQ(writer.crc32c(), Crc32c(expected.data(), expected.size()));
 }
 

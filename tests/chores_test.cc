@@ -1,12 +1,14 @@
 #include <atomic>
-#include <map>
-#include <set>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/chores.h"
+#include "obs/trace.h"
 
 namespace alphasort {
 namespace {
@@ -17,56 +19,19 @@ TEST(ChorePoolTest, ZeroWorkersRunsInline) {
   std::thread::id ran_on;
   pool.Submit([&ran_on] { ran_on = std::this_thread::get_id(); });
   EXPECT_EQ(ran_on, std::this_thread::get_id());
-  pool.WaitIdle();  // trivially idle
 }
 
 TEST(ChorePoolTest, ChoresRunOnWorkers) {
-  ChorePool pool(3);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ChorePoolTest, WaitIdleBlocksUntilDone) {
-  ChorePool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 10);
-}
-
-TEST(ChorePoolTest, ParallelForCoversAllIndicesExactlyOnce) {
-  for (int workers : {0, 1, 4}) {
-    ChorePool pool(workers);
-    const size_t n = 1000;
-    std::vector<std::atomic<int>> hits(n);
-    pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " workers " << workers;
+  {
+    ChorePool pool(3);
+    ChoreGroup group(&pool);
+    for (int i = 0; i < 100; ++i) {
+      group.Submit([&count] { count.fetch_add(1); });
     }
+    group.Wait();
+    EXPECT_EQ(count.load(), 100);
   }
-}
-
-TEST(ChorePoolTest, ParallelForUsesRootThreadToo) {
-  ChorePool pool(2);
-  std::mutex mu;
-  std::set<std::thread::id> seen;
-  pool.ParallelFor(64, [&](size_t) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    std::lock_guard<std::mutex> lock(mu);
-    seen.insert(std::this_thread::get_id());
-  });
-  // The root participates ("in its spare time, the root performs sorting
-  // chores"), so at least the root's id is present.
-  EXPECT_TRUE(seen.count(std::this_thread::get_id()) > 0);
 }
 
 TEST(ChorePoolTest, DestructorDrainsOutstandingChores) {
@@ -80,49 +45,130 @@ TEST(ChorePoolTest, DestructorDrainsOutstandingChores) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ChorePoolTest, ParallelForZeroIsNoop) {
+// A one-shot gate a chore can park on.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Await() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Two fan-outs share one pool, as concurrent jobs do: one group's Wait()
+// covers its own chores only, not a chore another group has parked on a
+// worker.
+TEST(ChoreGroupTest, WaitReturnsWhileAnotherGroupsChoreIsBlocked) {
   ChorePool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not run"; });
-}
-
-// The chunked-grab drain must stay exact at the awkward sizes: n smaller
-// than the thread count (chunk clamps to 1), n not a multiple of the
-// chunk (ragged tail), and n == 1.
-TEST(ChorePoolTest, ParallelForChunkingCoversAwkwardSizes) {
-  for (int workers : {0, 1, 3, 7}) {
-    for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{63},
-                     size_t{64}, size_t{65}, size_t{1013}}) {
-      ChorePool pool(workers);
-      std::vector<std::atomic<int>> hits(n);
-      pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1)
-            << "index " << i << " of " << n << " workers " << workers;
-      }
-    }
-  }
-}
-
-// Chunks hand each drainer contiguous index spans; with a body that
-// records its thread, every thread's set of indices must still be
-// disjoint and the union complete (the invariant the sort's gather
-// slices rely on).
-TEST(ChorePoolTest, ParallelForIndicesDisjointAcrossThreads) {
-  ChorePool pool(3);
-  const size_t n = 512;
-  std::mutex mu;
-  std::map<std::thread::id, std::vector<size_t>> per_thread;
-  pool.ParallelFor(n, [&](size_t i) {
-    std::lock_guard<std::mutex> lock(mu);
-    per_thread[std::this_thread::get_id()].push_back(i);
+  Gate parked, release;
+  ChoreGroup other(&pool);
+  other.Submit([&parked, &release] {
+    parked.Open();
+    release.Await();
   });
-  std::set<size_t> all;
-  for (const auto& [tid, indices] : per_thread) {
-    for (size_t i : indices) {
-      EXPECT_TRUE(all.insert(i).second) << "index " << i << " ran twice";
+  parked.Await();
+
+  std::atomic<int> count{0};
+  {
+    ChoreGroup mine(&pool);
+    for (int i = 0; i < 20; ++i) {
+      mine.Submit([&count] { count.fetch_add(1); });
+    }
+    mine.Wait();
+    EXPECT_EQ(count.load(), 20);
+  }
+  release.Open();
+  other.Wait();
+}
+
+TEST(ChoreGroupTest, DestructorWaits) {
+  ChorePool pool(2);
+  std::atomic<int> count{0};
+  {
+    ChoreGroup group(&pool);
+    for (int i = 0; i < 50; ++i) {
+      group.Submit([&count] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        count.fetch_add(1);
+      });
     }
   }
-  EXPECT_EQ(all.size(), n);
+  EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ChoreGroupTest, ZeroWorkersRunInline) {
+  ChorePool pool(0);
+  ChoreGroup group(&pool);
+  int count = 0;
+  std::thread::id ran_on;
+  group.Submit([&] {
+    ran_on = std::this_thread::get_id();
+    ++count;
+  });
+  EXPECT_EQ(count, 1) << "ran before Submit returned";
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  group.Wait();
+}
+
+// The ids ambient when the group was made follow its chores onto the
+// workers, and the workers hold no id once the chores are done.
+TEST(ChoreGroupTest, ChoresRunUnderTheGroupsAmbientIds) {
+  ChorePool pool(2);
+  std::unique_ptr<ChoreGroup> group;
+  {
+    obs::ScopedJobId job(71);
+    obs::ScopedTraceId trace(9001);
+    group = std::make_unique<ChoreGroup>(&pool);
+  }
+  std::mutex mu;
+  std::vector<std::pair<uint64_t, uint64_t>> seen;
+  for (int i = 0; i < 16; ++i) {
+    group->Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.emplace_back(obs::CurrentJobId(), obs::CurrentTraceId());
+    });
+  }
+  group->Wait();
+  ASSERT_EQ(seen.size(), 16u);
+  for (const auto& [job, trace] : seen) {
+    EXPECT_EQ(job, 71u);
+    EXPECT_EQ(trace, 9001u);
+  }
+
+  // Plain pool chores see the workers' own ambient ids.
+  std::atomic<int> leaked{0};
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 16; ++i) {
+    pool.Submit([&leaked, &ran] {
+      if (obs::CurrentJobId() != 0 || obs::CurrentTraceId() != 0) {
+        leaked.fetch_add(1);
+      }
+      ran.fetch_add(1);
+    });
+  }
+  while (ran.load() < 16) std::this_thread::yield();
+  EXPECT_EQ(leaked.load(), 0);
+}
+
+// Once Wait() returns, nothing a chore captured is still held.
+TEST(ChoreGroupTest, ChoresAreDestroyedBeforeWaitReturns) {
+  ChorePool pool(3);
+  auto token = std::make_shared<int>(0);
+  ChoreGroup group(&pool);
+  for (int i = 0; i < 32; ++i) {
+    group.Submit([token] { (void)*token; });
+  }
+  group.Wait();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

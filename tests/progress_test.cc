@@ -238,31 +238,6 @@ TEST(ProgressKeptJobTest, KeepsTheLastJobsToEndFailedOnesIncluded) {
   }
 }
 
-TEST(ProgressKeptJobTest, ALiveJobShadowsTheKeptJobWithItsId) {
-  auto* registry = ProgressRegistry::Global();
-  JobProgressTracker first;
-  first.Start(93001);
-  {
-    ScopedProgressRegistration reg(&first);
-    first.SetPhase(SortPhase::kDone);
-  }
-  JobProgressTracker second;
-  second.Start(93001);
-  second.SetPhase(SortPhase::kRead);
-  {
-    ScopedProgressRegistration reg(&second);
-    const std::vector<JobProgress> rendered =
-        WithId(registry->SnapshotWithFinished(), 93001);
-    ASSERT_EQ(rendered.size(), 1u);
-    EXPECT_EQ(rendered[0].phase, SortPhase::kRead);
-    second.SetPhase(SortPhase::kFailed);
-  }
-  const std::vector<JobProgress> kept =
-      WithId(registry->SnapshotWithFinished(), 93001);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].phase, SortPhase::kFailed);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace alphasort

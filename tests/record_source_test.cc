@@ -238,9 +238,6 @@ TEST_F(RecordSourceTest, StreamSourceFailPoisonsReaders) {
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
   // The producer side is dead too.
   EXPECT_FALSE(source.Append("more", 4));
-  bool accepted = true;
-  EXPECT_FALSE(source.TryAppend("more", 4, 0, &accepted).ok());
-  EXPECT_FALSE(accepted);
 }
 
 TEST_F(RecordSourceTest, StreamSourceAppendAfterCloseWriteRejected) {
@@ -267,27 +264,7 @@ TEST_F(RecordSourceTest, StreamSourceConsumerCloseAbandonsProducer) {
   ASSERT_TRUE(source.Close().ok());
 
   EXPECT_FALSE(source.Append("more", 4));
-  bool accepted = true;
-  Status s = source.TryAppend("more", 4, /*timeout_ms=*/0, &accepted);
-  EXPECT_TRUE(s.IsAborted()) << s.ToString();
-  EXPECT_FALSE(accepted);
   EXPECT_EQ(size_t{0}, source.buffered()) << "abandoned backlog is freed";
-}
-
-TEST_F(RecordSourceTest, StreamSourceTryAppendTimesOutWhenFull) {
-  StreamRecordSource source(/*capacity_bytes=*/8);
-  ASSERT_TRUE(source.Append("12345678", 8));  // fills the buffer
-  bool accepted = true;
-  Status s = source.TryAppend("9", 1, /*timeout_ms=*/10, &accepted);
-  EXPECT_TRUE(s.ok()) << s.ToString();  // stream is healthy, just full
-  EXPECT_FALSE(accepted);
-
-  // Draining makes room; the retry lands.
-  char buf[8];
-  size_t got = 0;
-  ASSERT_TRUE(source.Read(buf, sizeof(buf), &got).ok());
-  ASSERT_TRUE(source.TryAppend("9", 1, /*timeout_ms=*/10, &accepted).ok());
-  EXPECT_TRUE(accepted);
 }
 
 TEST_F(RecordSourceTest, StreamSourceTracksItsHighWaterMark) {
@@ -301,9 +278,10 @@ TEST_F(RecordSourceTest, StreamSourceTracksItsHighWaterMark) {
   EXPECT_EQ(size_t{5}, source.peak_buffered()) << "the mark outlives reads";
   ASSERT_TRUE(source.Append("1234", 4));
   ASSERT_TRUE(source.Append("5678", 4));
-  bool accepted = true;
-  ASSERT_TRUE(source.TryAppend("9", 1, /*timeout_ms=*/0, &accepted).ok());
-  EXPECT_FALSE(accepted);
+  // The buffer is full, so this append waits for the read below.
+  std::thread producer([&source] { EXPECT_TRUE(source.Append("9", 1)); });
+  ASSERT_TRUE(source.Read(buf, 8, &got).ok());
+  producer.join();
   EXPECT_EQ(size_t{8}, source.peak_buffered()) << "capped by the capacity";
 }
 

@@ -13,6 +13,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -432,6 +433,33 @@ TEST(SorterTest, StartRejectsBadPoolSizes) {
     EXPECT_NE(r.status.ToString().find(want), std::string::npos)
         << r.status.ToString();
   }
+}
+
+// Job ids are unique in a process: two Sorters and a SortService draw
+// from one counter, so the exposition, trace args.job and the kept-job
+// list never confuse two jobs.
+TEST(SorterTest, JobIdsAreUniqueAcrossExecutors) {
+  std::unique_ptr<Env> mem = NewMemEnv();
+  ASSERT_TRUE(MakeInput(mem.get(), 0, 1000).ok());
+  Sorter first(mem.get(), Sorter::Resources());
+  Sorter second(mem.get(), Sorter::Resources());
+  svc::SortService service(mem.get(), svc::SortServiceOptions());
+  SortOptions opts = JobOptions(0, 8 * kMB);
+  std::vector<SortJob> jobs;
+  opts.output_path = "out_first.dat";
+  jobs.push_back(first.Start(opts));
+  opts.output_path = "out_second.dat";
+  jobs.push_back(second.Start(opts));
+  opts.output_path = "out_service.dat";
+  Result<SortJob> served = service.Submit(opts);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  jobs.push_back(std::move(served).value());
+  std::set<uint64_t> ids;
+  for (SortJob& job : jobs) {
+    EXPECT_TRUE(job.Wait().status.ok()) << job.Wait().status.ToString();
+    ids.insert(job.id());
+  }
+  EXPECT_EQ(ids.size(), 3u) << "job ids repeat across executors";
 }
 
 TEST(SortServiceTest, SubmitAfterShutdownIsUnavailable) {
